@@ -69,6 +69,15 @@ run_config() {
   # 256-map x 64-reducer job driven straight at ReduceRunner).
   "$dir/bench/mrapid_bench" --filter sim_core --smoke \
     --json /tmp/smoke_simcore.json > /dev/null
+  echo "=== [$name] figure --jobs identity ==="
+  # Every SweepRunner thread maps through the one process-wide outcome
+  # cache (src/workloads/outcome_cache.h). The WordCount and TeraSort
+  # figure tables must not depend on how many threads filled it.
+  for fig in fig7 fig10; do
+    "$dir/bench/mrapid_bench" --filter "$fig" --smoke --jobs 1 > "/tmp/${name}_${fig}_jobs1.txt"
+    "$dir/bench/mrapid_bench" --filter "$fig" --smoke --jobs 4 > "/tmp/${name}_${fig}_jobs4.txt"
+    cmp "/tmp/${name}_${fig}_jobs1.txt" "/tmp/${name}_${fig}_jobs4.txt"
+  done
   echo "=== [$name] fuzz smoke ==="
   # A bounded differential-fuzz campaign (docs/FUZZING.md): every
   # scenario runs all four modes against the reference executor with

@@ -2,6 +2,9 @@
 
 #include <cassert>
 #include <cmath>
+#include <map>
+#include <mutex>
+#include <utility>
 
 namespace mrapid {
 
@@ -77,30 +80,49 @@ double RngStream::next_exponential(double mean) {
 }
 
 std::int64_t RngStream::next_zipf(std::int64_t n, double s) {
+  return ZipfSampler::shared(n, s)(*this);
+}
+
+ZipfSampler::ZipfSampler(std::int64_t n, double s)
+    : n_(n), s_(s), log_branch_(std::fabs(1.0 - s) < 1e-12) {
   assert(n >= 1 && s > 0);
-  if (n == 1) return 1;
-  // Rejection-inversion sampling (Hörmann & Derflinger 1996).
-  const double nd = static_cast<double>(n);
-  auto h_integral = [s](double x) {
+  auto h_integral = [this](double x) {
     const double log_x = std::log(x);
-    if (std::fabs(1.0 - s) < 1e-12) return log_x;
-    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
+    if (log_branch_) return log_x;
+    return (std::exp((1.0 - s_) * log_x) - 1.0) / (1.0 - s_);
   };
-  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
-  const double h_int_x1 = h_integral(1.5) - 1.0;
-  const double h_int_n = h_integral(nd + 0.5);
+  auto h = [this](double x) { return std::exp(-s_ * std::log(x)); };
+  h_int_x1_ = h_integral(1.5) - 1.0;
+  h_int_n_ = h_integral(static_cast<double>(n) + 0.5);
+  accept_.resize(static_cast<std::size_t>(n));
+  for (std::int64_t rank = 1; rank <= n; ++rank) {
+    const double k = static_cast<double>(rank);
+    accept_[static_cast<std::size_t>(rank - 1)] = h_integral(k + 0.5) - h(k);
+  }
+}
+
+const ZipfSampler& ZipfSampler::shared(std::int64_t n, double s) {
+  static std::mutex mu;
+  static std::map<std::pair<std::int64_t, double>, const ZipfSampler> samplers;
+  const std::lock_guard lock(mu);
+  return samplers.try_emplace({n, s}, n, s).first->second;
+}
+
+std::int64_t ZipfSampler::operator()(RngStream& rng) const {
+  if (n_ == 1) return 1;
+  const double nd = static_cast<double>(n_);
   for (;;) {
-    const double u = h_int_n + next_double() * (h_int_x1 - h_int_n);
+    const double u = h_int_n_ + rng.next_double() * (h_int_x1_ - h_int_n_);
     // Inverse of h_integral.
     double x;
-    if (std::fabs(1.0 - s) < 1e-12) {
+    if (log_branch_) {
       x = std::exp(u);
     } else {
-      x = std::exp(std::log(1.0 + u * (1.0 - s)) / (1.0 - s));
+      x = std::exp(std::log(1.0 + u * (1.0 - s_)) / (1.0 - s_));
     }
     const double k = std::floor(x + 0.5);
     if (k < 1 || k > nd) continue;
-    if (k - x <= h_int_x1 || u >= h_integral(k + 0.5) - h(k)) {
+    if (k - x <= h_int_x1_ || u >= accept_[static_cast<std::size_t>(k) - 1]) {
       return static_cast<std::int64_t>(k);
     }
   }

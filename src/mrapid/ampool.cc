@@ -63,10 +63,17 @@ void AmPool::evict(std::size_t i) {
   if (on_slot_lost_) on_slot_lost_(static_cast<int>(i));
 }
 
+bool AmPool::available(const SlotState& state) const {
+  if (!state.warm || state.busy) return false;
+  const yarn::NodeState* node = rm_.node_state(state.slot.container.node);
+  assert(node != nullptr);
+  return node->alive;
+}
+
 int AmPool::free_slots() const {
   int free = 0;
   for (const auto& state : slots_) {
-    if (state.warm && !state.busy) ++free;
+    if (available(state)) ++free;
   }
   return free;
 }
@@ -75,7 +82,7 @@ std::optional<AmPool::Slot> AmPool::acquire() {
   SlotState* best = nullptr;
   std::int64_t best_free_cores = 0;
   for (auto& state : slots_) {
-    if (!state.warm || state.busy) continue;
+    if (!available(state)) continue;
     auto& node = cluster_.node(state.slot.container.node);
     // Free CPU estimated from the fluid resource: fewer active compute
     // streams means a less loaded node. This can go below zero on an

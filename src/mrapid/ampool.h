@@ -61,6 +61,12 @@ class AmPool {
   // (the slot re-warms when the fresh AM comes up).
   void evict(std::size_t i);
 
+  // Warm, idle, and on a node the RM still counts as alive. A node's
+  // expiry reports its AMs lost one app at a time, so while the first
+  // loss is handled (and its job resubmitted) the node's other slots
+  // are still warm but already dead.
+  bool available(const SlotState& state) const;
+
   cluster::Cluster& cluster_;
   yarn::ResourceManager& rm_;
   std::vector<SlotState> slots_;

@@ -5,6 +5,7 @@
 
 #include "common/hash.h"
 #include "common/rng.h"
+#include "workloads/outcome_cache.h"
 
 namespace mrapid::wl {
 
@@ -45,54 +46,59 @@ std::vector<std::string> TeraSort::stage(hdfs::Hdfs& hdfs) {
 }
 
 mr::MapOutcome TeraSort::execute_map(const mr::InputSplit& split) const {
-  if (auto it = map_cache_.find(split.offset); it != map_cache_.end()) return it->second;
-  const TeraRows& all = rows();
   const auto first = static_cast<std::size_t>(split.offset / kRowBytes);
   const auto count = static_cast<std::size_t>(split.length / kRowBytes);
-  assert(first + count <= all.size());
-
-  auto run = std::make_shared<TeraRows>(all.begin() + static_cast<std::ptrdiff_t>(first),
-                                        all.begin() + static_cast<std::ptrdiff_t>(first + count));
-  std::sort(run->begin(), run->end());
-
+  const OutcomeKey key{OutcomeKind::kTeraSortRun,
+                       {params_.seed, static_cast<std::uint64_t>(params_.rows),
+                        static_cast<std::uint64_t>(split.offset),
+                        static_cast<std::uint64_t>(split.length)}};
   mr::MapOutcome outcome;
   outcome.output_bytes = static_cast<Bytes>(count) * kRowBytes;  // sort moves every byte
   outcome.output_records = static_cast<std::int64_t>(count);
   outcome.core_seconds = params_.map_sort_throughput.seconds_for(split.length);
-  outcome.data = run;
-  map_cache_.emplace(split.offset, outcome);
+  outcome.data = OutcomeCache::shared().get_or_compute(key, [&] {
+    const TeraRows& all = rows();
+    assert(first + count <= all.size());
+    auto run = std::make_shared<TeraRows>(all.begin() + static_cast<std::ptrdiff_t>(first),
+                                          all.begin() + static_cast<std::ptrdiff_t>(first + count));
+    std::sort(run->begin(), run->end());
+    return OutcomeCache::Value{run, run->capacity() * sizeof(TeraRow)};
+  });
   return outcome;
 }
 
-const std::vector<TeraRow>& TeraSort::boundaries(int reducers) const {
-  auto it = boundaries_cache_.find(reducers);
-  if (it != boundaries_cache_.end()) return it->second;
-  // Sample every k-th row (deterministic), sort the sample, pick R-1
-  // evenly spaced boundary keys — the TeraSort sampling pass.
-  const TeraRows& all = rows();
-  TeraRows sample;
-  const std::size_t stride = std::max<std::size_t>(1, all.size() / 1024);
-  for (std::size_t i = 0; i < all.size(); i += stride) sample.push_back(all[i]);
-  std::sort(sample.begin(), sample.end());
-  std::vector<TeraRow> bounds;
-  for (int r = 1; r < reducers; ++r) {
-    bounds.push_back(sample[sample.size() * static_cast<std::size_t>(r) /
-                            static_cast<std::size_t>(reducers)]);
-  }
-  return boundaries_cache_.emplace(reducers, std::move(bounds)).first->second;
+std::shared_ptr<const TeraRows> TeraSort::boundaries(int reducers) const {
+  const OutcomeKey key{OutcomeKind::kTeraSortBoundaries,
+                       {params_.seed, static_cast<std::uint64_t>(params_.rows),
+                        static_cast<std::uint64_t>(reducers)}};
+  return std::static_pointer_cast<const TeraRows>(OutcomeCache::shared().get_or_compute(key, [&] {
+    // Sample every k-th row (deterministic), sort the sample, pick R-1
+    // evenly spaced boundary keys — the TeraSort sampling pass.
+    const TeraRows& all = rows();
+    TeraRows sample;
+    const std::size_t stride = std::max<std::size_t>(1, all.size() / 1024);
+    for (std::size_t i = 0; i < all.size(); i += stride) sample.push_back(all[i]);
+    std::sort(sample.begin(), sample.end());
+    auto bounds = std::make_shared<TeraRows>();
+    for (int r = 1; r < reducers; ++r) {
+      bounds->push_back(sample[sample.size() * static_cast<std::size_t>(r) /
+                               static_cast<std::size_t>(reducers)]);
+    }
+    return OutcomeCache::Value{bounds, bounds->capacity() * sizeof(TeraRow)};
+  }));
 }
 
 std::vector<mr::MapOutcome> TeraSort::partition_map_output(const mr::MapOutcome& outcome,
                                                            int reducers) const {
   if (reducers <= 1) return mr::JobLogic::partition_map_output(outcome, reducers);
-  const auto& bounds = boundaries(reducers);
+  const auto bounds = boundaries(reducers);
   std::vector<std::shared_ptr<TeraRows>> shards(static_cast<std::size_t>(reducers));
   for (auto& shard : shards) shard = std::make_shared<TeraRows>();
   if (outcome.data) {
     const auto& run = *std::static_pointer_cast<const TeraRows>(outcome.data);
     for (const auto& row : run) {
       const auto r = static_cast<std::size_t>(
-          std::upper_bound(bounds.begin(), bounds.end(), row) - bounds.begin());
+          std::upper_bound(bounds->begin(), bounds->end(), row) - bounds->begin());
       shards[r]->push_back(row);
     }
   }

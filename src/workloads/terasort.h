@@ -7,7 +7,6 @@
 // workload the paper uses to stress U+'s cache/spill behaviour.
 
 #include <array>
-#include <map>
 #include <memory>
 #include <vector>
 
@@ -65,16 +64,15 @@ class TeraSort : public Workload {
   }
 
  private:
+  // TeraGen output, generated on first use. Sorted runs and partition
+  // boundaries live in the outcome cache, so only their misses read it.
   const TeraRows& rows() const;
   // Partition boundaries for R reducers, from a deterministic sample
-  // of the input keys (cached per R).
-  const std::vector<TeraRow>& boundaries(int reducers) const;
+  // of the input keys.
+  std::shared_ptr<const TeraRows> boundaries(int reducers) const;
 
   TeraSortParams params_;
-  mutable TeraRows rows_cache_;  // TeraGen output, generated lazily
-  mutable std::map<int, std::vector<TeraRow>> boundaries_cache_;
-  // Sorting a split is deterministic; memoise across modes/attempts.
-  mutable std::map<Bytes, mr::MapOutcome> map_cache_;  // keyed by split offset
+  mutable TeraRows rows_cache_;
 };
 
 }  // namespace mrapid::wl

@@ -27,9 +27,10 @@ std::string TextGenerator::generate(Bytes bytes, std::uint64_t stream_tag) const
   RngStream rng(seed_ ^ (stream_tag * 0x9E3779B97F4A7C15ull), "textgen.body");
   std::string text;
   text.reserve(static_cast<std::size_t>(bytes) + 16);
-  const auto n = static_cast<std::int64_t>(vocabulary_.size());
+  const ZipfSampler& zipf =
+      ZipfSampler::shared(static_cast<std::int64_t>(vocabulary_.size()), zipf_s_);
   while (static_cast<Bytes>(text.size()) < bytes) {
-    const std::int64_t rank = rng.next_zipf(n, zipf_s_) - 1;
+    const std::int64_t rank = zipf(rng) - 1;
     text += vocabulary_[static_cast<std::size_t>(rank)];
     text.push_back(' ');
   }

@@ -1,16 +1,31 @@
 #include "workloads/wordcount.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstdio>
 
 #include "common/hash.h"
+#include "workloads/outcome_cache.h"
 
 namespace mrapid::wl {
 
 namespace {
 // Serialized (word, count) pair: word bytes + separator + 8-byte count.
 constexpr Bytes kPairOverhead = 9;
+
+// Heap held by `counts` in libstdc++'s layout: a bucket array, one
+// node per word (next pointer, key, count, cached hash, allocator
+// header), and the text of words too long for the string's own buffer.
+std::size_t heap_bytes(const WordCounts& counts) {
+  std::size_t bytes = counts.bucket_count() * sizeof(void*) +
+                      counts.size() * (sizeof(WordCounts::value_type) + 3 * sizeof(void*));
+  for (const auto& [word, count] : counts) {
+    (void)count;
+    if (word.capacity() > std::string().capacity()) bytes += word.capacity() + 1;
+  }
+  return bytes;
+}
 
 // Input directories are derived from the workload shape so distinct
 // WordCount instances sharing one HDFS never collide.
@@ -27,17 +42,78 @@ std::string input_path(const WordCountParams& params, std::size_t index) {
   std::snprintf(buf, sizeof(buf), "/part-%05zu", index);
   return input_dir(params) + buf;
 }
+
+bool is_separator(char c) { return c == ' ' || c == '\n'; }
+
+// Counts words as views into the text being tokenised: an
+// open-addressing index over a dense, first-occurrence-ordered entry
+// list. Owned strings are made only when the counts are handed over.
+class ViewCounter {
+ public:
+  void add(std::string_view word, std::uint64_t hash) {
+    if (2 * (entries_.size() + 1) > slots_.size()) grow();
+    std::size_t slot = home(hash);
+    while (const std::uint32_t e = slots_[slot]) {
+      Entry& entry = entries_[e - 1];
+      if (entry.hash == hash && entry.word == word) {
+        ++entry.count;
+        return;
+      }
+      slot = (slot + 1) & (slots_.size() - 1);
+    }
+    entries_.push_back({word, hash, 1});
+    slots_[slot] = static_cast<std::uint32_t>(entries_.size());
+  }
+
+  // Adds every count to `counts` in first-occurrence order, so `counts`
+  // sees the same sequence of insertions as counting token by token.
+  void flush_into(WordCounts& counts) const {
+    for (const Entry& entry : entries_) counts[std::string(entry.word)] += entry.count;
+  }
+
+ private:
+  struct Entry {
+    std::string_view word;
+    std::uint64_t hash;
+    std::int64_t count;
+  };
+
+  // Fibonacci hashing: the top bits of hash * 2^64/phi.
+  std::size_t home(std::uint64_t hash) const {
+    return static_cast<std::size_t>((hash * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void grow() {
+    slots_.assign(slots_.empty() ? 1024 : 2 * slots_.size(), 0);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    for (std::size_t i = 0; i < entries_.size(); ++i) {
+      std::size_t slot = home(entries_[i].hash);
+      while (slots_[slot] != 0) slot = (slot + 1) & (slots_.size() - 1);
+      slots_[slot] = static_cast<std::uint32_t>(i + 1);
+    }
+  }
+
+  std::vector<Entry> entries_;
+  std::vector<std::uint32_t> slots_;  // entry index + 1; 0 is empty
+  int shift_ = 64;
+};
+
 }  // namespace
 
 void tokenize_into(std::string_view text, WordCounts& counts) {
+  ViewCounter counter;
   std::size_t begin = 0;
   while (begin < text.size()) {
-    while (begin < text.size() && (text[begin] == ' ' || text[begin] == '\n')) ++begin;
+    while (begin < text.size() && is_separator(text[begin])) ++begin;
+    std::uint64_t hash = 0xcbf29ce484222325ull;  // FNV-1a, fused with the scan
     std::size_t end = begin;
-    while (end < text.size() && text[end] != ' ' && text[end] != '\n') ++end;
-    if (end > begin) ++counts[std::string(text.substr(begin, end - begin))];
+    for (; end < text.size() && !is_separator(text[end]); ++end) {
+      hash = (hash ^ static_cast<unsigned char>(text[end])) * 0x100000001b3ull;
+    }
+    if (end > begin) counter.add(text.substr(begin, end - begin), hash);
     begin = end;
   }
+  counter.flush_into(counts);
 }
 
 WordCount::WordCount(WordCountParams params)
@@ -75,20 +151,27 @@ Bytes WordCount::serialized_size(const WordCounts& counts) {
 }
 
 mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
-  const auto cache_key = std::make_pair(split.path, split.offset);
-  if (auto it = map_cache_.find(cache_key); it != map_cache_.end()) return it->second;
   // Recover the file index from the staged path layout.
   std::size_t file_index = 0;
   const std::size_t part = split.path.rfind("/part-");
   assert(part != std::string::npos);
   std::sscanf(split.path.c_str() + part, "/part-%zu", &file_index);
-  const std::string& content = file_content(file_index);
 
-  const auto offset = static_cast<std::size_t>(split.offset);
-  const auto length = static_cast<std::size_t>(split.length);
-  assert(offset + length <= content.size() + 1);
-  auto counts = std::make_shared<WordCounts>();
-  tokenize_into(std::string_view(content).substr(offset, length), *counts);
+  const OutcomeKey key{OutcomeKind::kWordCountSplit,
+                       {params_.seed, params_.vocabulary, std::bit_cast<std::uint64_t>(params_.zipf_s),
+                        file_index, static_cast<std::uint64_t>(params_.bytes_per_file),
+                        static_cast<std::uint64_t>(split.offset),
+                        static_cast<std::uint64_t>(split.length)}};
+  const auto counts = std::static_pointer_cast<const WordCounts>(
+      OutcomeCache::shared().get_or_compute(key, [&] {
+        const std::string& content = file_content(file_index);
+        const auto offset = static_cast<std::size_t>(split.offset);
+        const auto length = static_cast<std::size_t>(split.length);
+        assert(offset + length <= content.size() + 1);
+        auto value = std::make_shared<WordCounts>();
+        tokenize_into(std::string_view(content).substr(offset, length), *value);
+        return OutcomeCache::Value{value, heap_bytes(*value)};
+      }));
 
   mr::MapOutcome outcome;
   std::int64_t tokens = 0;
@@ -110,7 +193,6 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
   }
   outcome.core_seconds = params_.map_throughput.seconds_for(split.length);
   outcome.data = counts;
-  map_cache_.emplace(cache_key, outcome);
   return outcome;
 }
 

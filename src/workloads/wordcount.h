@@ -6,11 +6,10 @@
 // generator, and the measured intermediate sizes drive the simulator.
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "workloads/textgen.h"
@@ -77,14 +76,15 @@ class WordCount : public Workload {
 
   WordCountParams params_;
   TextGenerator generator_;
-  mutable std::vector<std::string> content_cache_;  // lazily generated, per file
-  // execute_map is deterministic per split, and experiment harnesses
-  // run the same splits across many modes/attempts — memoise.
-  mutable std::map<std::pair<std::string, Bytes>, mr::MapOutcome> map_cache_;
+  // Lazily generated, per file. Generated only when a split misses the
+  // outcome cache (or for reference_counts()), so instances whose
+  // splits another instance already mapped never build a corpus.
+  mutable std::vector<std::string> content_cache_;
 };
 
-// Tokenise `text` into `counts` (splits on spaces/newlines). Exposed
-// for tests.
+// Tokenise `text` into `counts` (splits on spaces/newlines; no other
+// character separates words). New words enter `counts` in
+// first-occurrence order. Exposed for tests.
 void tokenize_into(std::string_view text, WordCounts& counts);
 
 }  // namespace mrapid::wl

@@ -3,10 +3,14 @@
 // Workloads are JobLogic implementations that do *real* computation
 // over staged data — the three benchmarks the paper evaluates
 // (WordCount, TeraSort, PI from the Hadoop examples package). A
-// workload object is simulation-independent: the same instance is
-// staged into a fresh HDFS for every mode/run of an experiment, so its
-// (deterministically generated) input payloads are built once and
-// reused.
+// workload object is simulation-independent: an instance can be staged
+// into a fresh HDFS for every mode/run of an experiment. Map outputs
+// are pure functions of the workload's parameters and the split, so
+// WordCount and TeraSort keep them in the process-wide OutcomeCache
+// (workloads/outcome_cache.h): every instance with the same parameters,
+// in any mode, trial or SweepRunner thread, shares one copy. Raw input
+// (a generated corpus, TeraGen rows) stays per instance and is built
+// only when a map misses that cache.
 
 #include <cstdint>
 #include <string>

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cassert>
 #include <cmath>
 #include <set>
 #include <stdexcept>
@@ -134,6 +135,66 @@ TEST(Rng, ZipfIsHeavyHeaded) {
 TEST(Rng, ZipfSingleElement) {
   RngStream rng(1);
   EXPECT_EQ(rng.next_zipf(1, 1.0), 1);
+}
+
+// The per-call rejection-inversion sampler ZipfSampler replaced, kept
+// verbatim as a reference model: it recomputes every (n, s) constant and
+// every acceptance bound on each draw.
+std::int64_t reference_next_zipf(RngStream& rng, std::int64_t n, double s) {
+  assert(n >= 1 && s > 0);
+  if (n == 1) return 1;
+  // Rejection-inversion sampling (Hörmann & Derflinger 1996).
+  const double nd = static_cast<double>(n);
+  auto h_integral = [s](double x) {
+    const double log_x = std::log(x);
+    if (std::fabs(1.0 - s) < 1e-12) return log_x;
+    return (std::exp((1.0 - s) * log_x) - 1.0) / (1.0 - s);
+  };
+  auto h = [s](double x) { return std::exp(-s * std::log(x)); };
+  const double h_int_x1 = h_integral(1.5) - 1.0;
+  const double h_int_n = h_integral(nd + 0.5);
+  for (;;) {
+    const double u = h_int_n + rng.next_double() * (h_int_x1 - h_int_n);
+    // Inverse of h_integral.
+    double x;
+    if (std::fabs(1.0 - s) < 1e-12) {
+      x = std::exp(u);
+    } else {
+      x = std::exp(std::log(1.0 + u * (1.0 - s)) / (1.0 - s));
+    }
+    const double k = std::floor(x + 0.5);
+    if (k < 1 || k > nd) continue;
+    if (k - x <= h_int_x1 || u >= h_integral(k + 0.5) - h(k)) {
+      return static_cast<std::int64_t>(k);
+    }
+  }
+}
+
+TEST(ZipfSampler, DrawsAreBitIdenticalToThePerCallReference) {
+  // s = 1.0 takes the log branch of h_integral and its inverse.
+  for (const std::int64_t n : {1, 2, 7, 1000, 100000}) {
+    for (const double s : {0.8, 1.0, 1.1, 1.5}) {
+      const ZipfSampler& sampler = ZipfSampler::shared(n, s);
+      RngStream reference(static_cast<std::uint64_t>(n) * 31 + 7, "zipf");
+      RngStream hoisted = reference;
+      RngStream convenience = reference;
+      for (int i = 0; i < 20000; ++i) {
+        const std::int64_t expected = reference_next_zipf(reference, n, s);
+        ASSERT_EQ(sampler(hoisted), expected) << "n=" << n << " s=" << s << " draw " << i;
+        ASSERT_EQ(convenience.next_zipf(n, s), expected) << "n=" << n << " s=" << s;
+      }
+      // Same number of uniforms consumed, so the streams stay in step.
+      const std::uint64_t next = reference.next_u64();
+      EXPECT_EQ(hoisted.next_u64(), next) << "n=" << n << " s=" << s;
+      EXPECT_EQ(convenience.next_u64(), next) << "n=" << n << " s=" << s;
+    }
+  }
+}
+
+TEST(ZipfSampler, SharedIsBuiltOncePerParameters) {
+  EXPECT_EQ(&ZipfSampler::shared(500, 1.1), &ZipfSampler::shared(500, 1.1));
+  EXPECT_NE(&ZipfSampler::shared(500, 1.1), &ZipfSampler::shared(501, 1.1));
+  EXPECT_NE(&ZipfSampler::shared(500, 1.1), &ZipfSampler::shared(500, 1.2));
 }
 
 TEST(Rng, ForkIsDeterministic) {

@@ -216,24 +216,49 @@ TEST(SweepRunner, NullRunYieldsOneTrivialOkTrial) {
   EXPECT_TRUE(results[0].ok);
 }
 
+// Every run's table and JSON, concatenated, at the given job count.
+std::string render_all(const std::string& name, const ScenarioSpec& spec, std::size_t jobs) {
+  SweepOptions options;
+  options.jobs = jobs;
+  ExperimentRun run{name, spec, SweepRunner(options).run(spec)};
+  std::ostringstream table;
+  render_report(run, table);
+  std::ostringstream json;
+  write_json(json, {run}, SweepOptions{});  // identical header either way
+  return table.str() + "\n---\n" + json.str();
+}
+
 TEST(SweepRunner, ParallelOutputIsByteIdenticalToSerial) {
   const ScenarioSpec spec = synthetic_spec();
-
-  auto render_all = [&](std::size_t jobs) {
-    SweepOptions options;
-    options.jobs = jobs;
-    ExperimentRun run{"synthetic", spec, SweepRunner(options).run(spec)};
-    std::ostringstream table;
-    render_report(run, table);
-    std::ostringstream json;
-    write_json(json, {run}, SweepOptions{});  // identical header either way
-    return table.str() + "\n---\n" + json.str();
-  };
-
-  const std::string serial = render_all(1);
-  EXPECT_EQ(serial, render_all(4));
-  EXPECT_EQ(serial, render_all(8));
+  const std::string serial = render_all("synthetic", spec, 1);
+  EXPECT_EQ(serial, render_all("synthetic", spec, 4));
+  EXPECT_EQ(serial, render_all("synthetic", spec, 8));
   EXPECT_NE(serial.find("impr(D+)"), std::string::npos);
+}
+
+TEST(SweepRunner, ParallelWordCountSweepIsByteIdenticalToSerial) {
+  // Real simulated trials whose maps go through the process-wide
+  // outcome cache. The parallel run goes first, with a text seed no
+  // other test uses, so its threads race to compute the same cold
+  // splits; the serial run then replays every split from the cache.
+  ScenarioSpec spec;
+  spec.title = "wordcount";
+  spec.baseline_series = "Hadoop";
+  spec.axes = {int_axis("files", {1, 2})};
+  spec.modes = figure_modes();
+  spec.run = [](const Trial& trial) {
+    wl::WordCountParams params;
+    params.num_files = static_cast<std::size_t>(trial.num("files"));
+    params.bytes_per_file = 256_KB;
+    params.seed = 0x5EED5;
+    wl::WordCount wc(params);
+    harness::WorldConfig config;
+    config.seed = trial.seed;
+    return run_world_trial(config, *trial.mode, wc, trial);
+  };
+  const std::string parallel = render_all("wordcount", spec, 4);
+  EXPECT_EQ(parallel, render_all("wordcount", spec, 1));
+  EXPECT_EQ(parallel.find("FAILED"), std::string::npos) << parallel;
 }
 
 TEST(SweepRunner, RealWorldTrialProducesABreakdown) {

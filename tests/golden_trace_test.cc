@@ -23,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <ostream>
 #include <string>
 
 #include "check/textio.h"
@@ -82,6 +83,11 @@ struct GoldenCase {
   RunMode mode;
   const char* mode_tag;
 };
+
+// Without a printer gtest dumps the struct's raw bytes — string-literal
+// addresses and padding — into `--gtest_list_tests`, and so into every
+// ctest name, which then changes from one build or run to the next.
+void PrintTo(const GoldenCase& c, std::ostream* os) { *os << c.workload << "_" << c.mode_tag; }
 
 class GoldenTrace : public ::testing::TestWithParam<GoldenCase> {};
 

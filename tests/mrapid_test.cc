@@ -430,6 +430,32 @@ TEST(AmPoolTest, AcquireReleaseCycle) {
   EXPECT_TRUE(pool.acquire().has_value());
 }
 
+TEST(AmPoolTest, SlotsOnAnExpiredNodeAreNotHandedOut) {
+  // The state inside a node expiry: the RM has marked the node dead but
+  // has not yet reported every AM on it lost, so its slots are still
+  // warm. Handing one out would resubmit a job onto a dead AM.
+  WorldConfig config;
+  World world(config, RunMode::kDPlus);
+  world.boot();
+  AmPool pool(world.cluster(), world.rm(), 3);
+  bool ready = false;
+  pool.start([&] { ready = true; });
+  world.simulation().run_until(world.simulation().now() + sim::SimDuration::seconds(30));
+  ASSERT_TRUE(ready);
+  const cluster::NodeId dead = pool.slot(0).container.node;
+  int on_dead = 0;
+  for (int i = 0; i < pool.size(); ++i) on_dead += pool.slot(i).container.node == dead ? 1 : 0;
+  world.rm().node_table()->set_alive(*world.rm().node_state(dead), false);
+
+  EXPECT_EQ(pool.free_slots(), pool.size() - on_dead);
+  int acquired = 0;
+  while (const auto slot = pool.acquire()) {
+    EXPECT_NE(slot->container.node, dead);
+    ++acquired;
+  }
+  EXPECT_EQ(acquired, pool.size() - on_dead);
+}
+
 TEST(AmPoolTest, SlotsLandOnWorkers) {
   WorldConfig config;
   World world(config, RunMode::kDPlus);

@@ -1,0 +1,284 @@
+// Tests for the process-wide map-outcome cache (src/workloads/
+// outcome_cache.h): hits share the first call's value, keys that differ
+// in any field never share an entry, resident bytes respect the budget,
+// and concurrent callers compute each key once and agree on the result.
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <string>
+#include <string_view>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "workloads/outcome_cache.h"
+#include "workloads/terasort.h"
+#include "workloads/wordcount.h"
+
+namespace mrapid::wl {
+namespace {
+
+OutcomeKey key_of(std::uint64_t id) { return OutcomeKey{OutcomeKind::kTeraSortRun, {id}}; }
+
+// A compute function that counts its calls and yields `bytes`-sized ints.
+auto counting(std::atomic<int>& calls, std::size_t bytes, int value = 0) {
+  return [&calls, bytes, value] {
+    ++calls;
+    return OutcomeCache::Value{std::make_shared<const int>(value), bytes};
+  };
+}
+
+// ---- the cache itself ------------------------------------------------
+
+TEST(OutcomeCache, HitReturnsTheFirstCallsPointer) {
+  OutcomeCache cache(1024);
+  std::atomic<int> calls{0};
+  const auto first = cache.get_or_compute(key_of(1), counting(calls, 100));
+  const auto second = cache.get_or_compute(key_of(1), counting(calls, 100));
+  EXPECT_EQ(first.get(), second.get());
+  EXPECT_EQ(calls.load(), 1);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.resident_bytes(), 100u);
+}
+
+TEST(OutcomeCache, KeysDifferingInAnyFieldOrKindNeverShare) {
+  OutcomeCache cache(std::size_t{1} << 20);
+  std::atomic<int> calls{0};
+  const OutcomeKey base{OutcomeKind::kWordCountSplit, {1, 2, 3, 4, 5, 6, 7}};
+  std::vector<OutcomeKey> keys{base};
+  for (std::size_t field = 0; field < base.fields.size(); ++field) {
+    OutcomeKey changed = base;
+    changed.fields[field] += 1;
+    keys.push_back(changed);
+  }
+  for (const OutcomeKind kind : {OutcomeKind::kTeraSortRun, OutcomeKind::kTeraSortBoundaries}) {
+    OutcomeKey changed = base;
+    changed.kind = kind;
+    keys.push_back(changed);
+  }
+  std::vector<const void*> values;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    values.push_back(cache.get_or_compute(keys[i], counting(calls, 8, static_cast<int>(i))).get());
+  }
+  EXPECT_EQ(calls.load(), static_cast<int>(keys.size()));
+  EXPECT_EQ(cache.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    for (std::size_t j = i + 1; j < keys.size(); ++j) EXPECT_NE(values[i], values[j]);
+  }
+}
+
+TEST(OutcomeCache, ResidentBytesStayWithinTheBudget) {
+  OutcomeCache cache(1000);
+  std::atomic<int> calls{0};
+  for (std::uint64_t id = 0; id < 10; ++id) {
+    cache.get_or_compute(key_of(id), counting(calls, 300));
+    EXPECT_LE(cache.resident_bytes(), 1000u);
+  }
+  EXPECT_EQ(cache.size(), 3u);  // the three most recent: 7, 8, 9
+
+  // Least recently used goes first: touch 7, then insert 10 -> 8 is evicted.
+  cache.get_or_compute(key_of(7), counting(calls, 300));
+  cache.get_or_compute(key_of(10), counting(calls, 300));
+  const int before = calls.load();
+  cache.get_or_compute(key_of(7), counting(calls, 300));
+  cache.get_or_compute(key_of(9), counting(calls, 300));
+  EXPECT_EQ(calls.load(), before);
+  cache.get_or_compute(key_of(8), counting(calls, 300));
+  EXPECT_EQ(calls.load(), before + 1);
+  EXPECT_LE(cache.resident_bytes(), 1000u);
+}
+
+TEST(OutcomeCache, OverBudgetValueIsReturnedButNotRetained) {
+  OutcomeCache cache(1000);
+  std::atomic<int> calls{0};
+  cache.get_or_compute(key_of(1), counting(calls, 400));
+  const auto big = cache.get_or_compute(key_of(2), counting(calls, 1001, 42));
+  ASSERT_NE(big, nullptr);
+  EXPECT_EQ(*static_cast<const int*>(big.get()), 42);
+  EXPECT_EQ(cache.size(), 1u);  // the small value was not evicted for it
+  EXPECT_EQ(cache.resident_bytes(), 400u);
+  cache.get_or_compute(key_of(2), counting(calls, 1001, 42));
+  EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(OutcomeCache, ThrowingComputeCachesNothing) {
+  OutcomeCache cache(1000);
+  EXPECT_THROW(cache.get_or_compute(key_of(1),
+                                    []() -> OutcomeCache::Value {
+                                      throw std::runtime_error("boom");
+                                    }),
+               std::runtime_error);
+  EXPECT_EQ(cache.size(), 0u);
+  std::atomic<int> calls{0};
+  cache.get_or_compute(key_of(1), counting(calls, 10));
+  EXPECT_EQ(calls.load(), 1);
+}
+
+TEST(OutcomeCache, ConcurrentCallersComputeEachKeyOnceAndAgree) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kKeys = 8;
+  OutcomeCache cache(std::size_t{1} << 20);
+  std::vector<std::atomic<int>> calls(kKeys);
+  std::vector<std::vector<const void*>> seen(kThreads, std::vector<const void*>(kKeys));
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      ++ready;
+      while (ready.load() < kThreads) std::this_thread::yield();
+      // Every thread wants every key; half walk the keys backwards, so
+      // threads meet both on the same key and on different ones.
+      for (std::uint64_t i = 0; i < kKeys; ++i) {
+        const std::uint64_t id = t % 2 == 0 ? i : kKeys - 1 - i;
+        seen[t][id] = cache
+                          .get_or_compute(key_of(id),
+                                          [&calls, id] {
+                                            ++calls[id];
+                                            std::this_thread::sleep_for(
+                                                std::chrono::milliseconds(2));
+                                            return OutcomeCache::Value{
+                                                std::make_shared<const std::uint64_t>(id), 8};
+                                          })
+                          .get();
+      }
+    });
+  }
+  for (auto& thread : threads) thread.join();
+  for (std::uint64_t id = 0; id < kKeys; ++id) {
+    EXPECT_EQ(calls[id].load(), 1) << "key " << id;
+    for (int t = 1; t < kThreads; ++t) EXPECT_EQ(seen[t][id], seen[0][id]) << "key " << id;
+    EXPECT_EQ(*static_cast<const std::uint64_t*>(seen[0][id]), id);
+  }
+}
+
+// ---- through the workloads ---------------------------------------------
+
+mr::InputSplit wordcount_split(const WordCountParams& params, std::size_t file, Bytes offset,
+                               Bytes length) {
+  char path[96];
+  std::snprintf(path, sizeof(path), "/input/wordcount-%zux%lld-%llu/part-%05zu",
+                params.num_files, static_cast<long long>(params.bytes_per_file),
+                static_cast<unsigned long long>(params.seed), file);
+  mr::InputSplit split;
+  split.path = path;
+  split.offset = offset;
+  split.length = length;
+  return split;
+}
+
+TEST(OutcomeCacheWorkloads, WordCountInstancesShareOneSplitOutcome) {
+  WordCountParams params;
+  params.num_files = 2;
+  params.bytes_per_file = 16_KB;
+  params.seed = 0xCAC4E1;
+  const WordCount a(params), b(params);
+  const auto split = wordcount_split(params, 1, 0, params.bytes_per_file);
+  const mr::MapOutcome first = a.execute_map(split);
+  const mr::MapOutcome second = b.execute_map(split);
+  EXPECT_EQ(first.data.get(), second.data.get());
+  EXPECT_EQ(first.output_bytes, second.output_bytes);
+  EXPECT_EQ(first.output_records, second.output_records);
+
+  // Sizes and core-seconds still come from each instance's params.
+  WordCountParams raw = params;
+  raw.use_combiner = false;
+  raw.map_throughput = Rate::mb_per_sec(1);
+  const mr::MapOutcome uncombined = WordCount(raw).execute_map(split);
+  EXPECT_EQ(uncombined.data.get(), first.data.get());
+  EXPECT_GT(uncombined.output_records, first.output_records);
+  EXPECT_GT(uncombined.output_bytes, first.output_bytes);
+  EXPECT_GT(uncombined.core_seconds, first.core_seconds);
+}
+
+TEST(OutcomeCacheWorkloads, WordCountParamsDifferingInAnyKeyFieldNeverShare) {
+  WordCountParams base;
+  base.num_files = 2;
+  base.bytes_per_file = 16_KB;
+  base.seed = 0xCAC4E2;
+  base.vocabulary = 1000;
+  const void* base_data = WordCount(base).execute_map(wordcount_split(base, 0, 0, 8_KB)).data.get();
+
+  // Each variant gets its own entry, holding the counts of its own bytes.
+  auto differs = [&](const WordCountParams& params, std::size_t file, Bytes offset,
+                     Bytes length) {
+    const mr::MapOutcome outcome =
+        WordCount(params).execute_map(wordcount_split(params, file, offset, length));
+    EXPECT_NE(outcome.data.get(), base_data);
+    const std::string text = TextGenerator(params.seed, params.vocabulary, params.zipf_s)
+                                 .generate(params.bytes_per_file, file);
+    WordCounts expected;
+    tokenize_into(std::string_view(text).substr(static_cast<std::size_t>(offset),
+                                                static_cast<std::size_t>(length)),
+                  expected);
+    EXPECT_EQ(*std::static_pointer_cast<const WordCounts>(outcome.data), expected);
+  };
+  WordCountParams p = base;
+  p.seed += 1;
+  differs(p, 0, 0, 8_KB);
+  p = base;
+  p.vocabulary = 999;
+  differs(p, 0, 0, 8_KB);
+  p = base;
+  p.zipf_s = 1.2;
+  differs(p, 0, 0, 8_KB);
+  differs(base, 1, 0, 8_KB);  // file index
+  p = base;
+  p.bytes_per_file = 20_KB;
+  differs(p, 0, 0, 8_KB);
+  differs(base, 0, 4_KB, 8_KB);  // offset
+  differs(base, 0, 0, 4_KB);     // length
+}
+
+TEST(OutcomeCacheWorkloads, TeraSortRunsAndBoundariesAreShared) {
+  TeraSortParams params;
+  params.rows = 4000;
+  params.blocks = 2;
+  params.seed = 0x7E4A;
+  const TeraSort a(params), b(params);
+  mr::InputSplit split;
+  split.path = "/input/terasort/part-00000";
+  split.offset = 2000 * TeraSort::kRowBytes;
+  split.length = 2000 * TeraSort::kRowBytes;
+  const mr::MapOutcome run_a = a.execute_map(split);
+  const mr::MapOutcome run_b = b.execute_map(split);
+  EXPECT_EQ(run_a.data.get(), run_b.data.get());
+
+  // Different rows, offset or length: a different run.
+  TeraSortParams more = params;
+  more.rows = 6000;
+  EXPECT_NE(TeraSort(more).execute_map(split).data.get(), run_a.data.get());
+  mr::InputSplit shorter = split;
+  shorter.length -= TeraSort::kRowBytes;
+  EXPECT_NE(a.execute_map(shorter).data.get(), run_a.data.get());
+
+  // Partitioning through either instance cuts at the same boundaries.
+  const auto shards_a = a.partition_map_output(run_a, 3);
+  const auto shards_b = b.partition_map_output(run_b, 3);
+  ASSERT_EQ(shards_a.size(), 3u);
+  for (std::size_t r = 0; r < shards_a.size(); ++r) {
+    EXPECT_EQ(*std::static_pointer_cast<const TeraRows>(shards_a[r].data),
+              *std::static_pointer_cast<const TeraRows>(shards_b[r].data));
+  }
+}
+
+TEST(OutcomeCacheWorkloads, SharedBudgetHoldsOneFig7Point) {
+  // A registered Fig. 7 point maps up to 16 files of 10 MB, one split
+  // each; all of them must fit at once, or its four modes would thrash.
+  WordCountParams params;
+  params.num_files = 1;
+  params.bytes_per_file = 10_MB;
+  params.seed = 0xF167;
+  OutcomeCache& cache = OutcomeCache::shared();
+  const std::size_t before = cache.resident_bytes();
+  WordCount(params).execute_map(wordcount_split(params, 0, 0, params.bytes_per_file));
+  const std::size_t split_bytes = cache.resident_bytes() - before;
+  EXPECT_GT(split_bytes, std::size_t{1} << 20);
+  EXPECT_LE(16 * split_bytes, OutcomeCache::kBudgetBytes);
+}
+
+}  // namespace
+}  // namespace mrapid::wl

@@ -6,8 +6,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "cluster/azure.h"
+#include "common/hash.h"
+#include "common/rng.h"
 #include "harness/world.h"
 #include "mapreduce/split.h"
 #include "workloads/pi.h"
@@ -64,7 +70,99 @@ TEST(TextGen, ZipfSkewMakesTopWordsDominate) {
   EXPECT_GT(static_cast<double>(top10) / static_cast<double>(total), 0.15);
 }
 
+TEST(TextGen, OneMegabyteDigestsArePinned) {
+  // FNV-1a digests of generate(1 MB, tag), taken before the Zipf draws
+  // moved to the hoisted ZipfSampler: the corpus must not change by a byte.
+  struct Pin {
+    std::uint64_t seed;
+    std::uint64_t tag;
+    std::uint64_t digest;
+  };
+  for (const Pin& pin : {Pin{42, 0, 0x4ddd9d19cfdf7c96ull}, Pin{42, 3, 0x50ec4aa68bc9ab10ull},
+                         Pin{20170529, 0, 0xda173b8b35958f72ull},
+                         Pin{20170529, 3, 0x3cacadbac0ba4125ull}}) {
+    const std::string text = TextGenerator(pin.seed).generate(1_MB, pin.tag);
+    Fnv64 digest;
+    digest.mix(std::string_view(text));
+    EXPECT_EQ(digest.value(), pin.digest) << "seed " << pin.seed << " tag " << pin.tag;
+  }
+}
+
 // ---- tokenizer ---------------------------------------------------------
+
+// An independent model of the tokeniser: walk the text once, cut a word
+// at every ' ' or '\n', count it as soon as it ends.
+WordCounts naive_counts(std::string_view text, WordCounts counts = {}) {
+  std::string word;
+  for (const char c : text) {
+    if (c == ' ' || c == '\n') {
+      if (!word.empty()) ++counts[word];
+      word.clear();
+    } else {
+      word.push_back(c);
+    }
+  }
+  if (!word.empty()) ++counts[word];
+  return counts;
+}
+
+std::vector<std::pair<std::string, std::int64_t>> in_iteration_order(const WordCounts& counts) {
+  return {counts.begin(), counts.end()};
+}
+
+TEST(Tokenizer, MatchesANaiveSplitterOnRandomText) {
+  // Few letters so words repeat; '\t' and '\r' are word characters.
+  const std::string alphabet = "abcd  \n\t\r";
+  RngStream rng(2024, "tokenizer");
+  for (int round = 0; round < 200; ++round) {
+    const auto size = static_cast<std::size_t>(rng.next_int(0, round < 150 ? 300 : 60000));
+    std::string text;
+    for (std::size_t i = 0; i < size; ++i) {
+      text.push_back(alphabet[static_cast<std::size_t>(
+          rng.next_int(0, static_cast<std::int64_t>(alphabet.size()) - 1))]);
+    }
+    // The whole text, then a sub-view at an arbitrary offset.
+    const std::string_view whole(text);
+    const auto offset = static_cast<std::size_t>(rng.next_int(0, static_cast<std::int64_t>(size)));
+    const auto length =
+        static_cast<std::size_t>(rng.next_int(0, static_cast<std::int64_t>(size - offset)));
+    for (const std::string_view view : {whole, whole.substr(offset, length)}) {
+      WordCounts counts;
+      tokenize_into(view, counts);
+      const WordCounts expected = naive_counts(view);
+      ASSERT_EQ(counts, expected) << "round " << round;
+      // Same insertions in the same order, so even iteration order agrees.
+      ASSERT_EQ(in_iteration_order(counts), in_iteration_order(expected)) << "round " << round;
+    }
+    // Accumulating a second text into non-empty counts.
+    WordCounts counts;
+    tokenize_into(whole.substr(0, offset), counts);
+    tokenize_into(whole.substr(offset), counts);
+    const WordCounts expected = naive_counts(whole.substr(offset), naive_counts(whole.substr(0, offset)));
+    ASSERT_EQ(in_iteration_order(counts), in_iteration_order(expected)) << "round " << round;
+  }
+}
+
+TEST(Tokenizer, EmptyAndAllSeparatorInputAddNothing) {
+  for (const std::string_view text : {"", " ", "\n", "  \n \n\n   "}) {
+    WordCounts counts{{"kept", 3}};
+    tokenize_into(text, counts);
+    EXPECT_EQ(counts, (WordCounts{{"kept", 3}}));
+  }
+  WordCounts counts;
+  tokenize_into("\t\r", counts);  // not separators: one word
+  EXPECT_EQ(counts, (WordCounts{{"\t\r", 1}}));
+}
+
+TEST(Tokenizer, MatchesANaiveSplitterOnGeneratedText) {
+  // Generated text has ~100k distinct words, far more than the
+  // tokeniser's initial table, so it exercises every regrowth.
+  const std::string text = TextGenerator(11).generate(2_MB, 0);
+  WordCounts counts;
+  tokenize_into(text, counts);
+  ASSERT_GT(counts.size(), 10000u);
+  EXPECT_EQ(in_iteration_order(counts), in_iteration_order(naive_counts(text)));
+}
 
 TEST(Tokenizer, SplitsOnSpacesAndNewlines) {
   WordCounts counts;
