@@ -4,8 +4,9 @@
 // end-to-end wordcount sweep, the cluster-scale tenant stream
 // (10k nodes) that exercises the timer wheel and the incremental
 // scheduler, the placement-shuffle stream (10k nodes, small HDFS
-// blocks, sort-heavy) that exercises the indexed placement engine and
-// the incremental waterfill, and the job-scale shuffle drive (2k maps
+// blocks, sort-heavy) that exercises the indexed placement engine
+// against the legacy replica scan over one shared flow network, and
+// the job-scale shuffle drive (2k maps
 // x 512 reducers at 1k nodes) that exercises the partition-once
 // registry and the slab fetch engine. The churn/cancel variants
 // measure against the pre-slab shared_ptr reference queue, the

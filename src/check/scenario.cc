@@ -168,8 +168,8 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
     s.policy = policies[policy_rng.next_int(0, 2)];
   }
 
-  // Hot-path implementation axis. The indexed placement and
-  // incremental rate engines are byte-identical to the legacy scans by
+  // Hot-path implementation axis. The indexed placement and fast
+  // shuffle engines are byte-identical to the legacy paths by
   // contract, so flipping either must never change a trace — a quarter
   // of the seeds run each legacy engine (independently drawn) to keep
   // that contract under the full differential oracle, not just the
@@ -177,9 +177,10 @@ FuzzScenario generate_scenario(std::uint64_t seed) {
   // above keeps its historical per-seed value.
   RngStream hotpath_rng(seed, "fuzz.hotpaths");
   // Draw order is append-only: new toggles draw *after* the existing
-  // ones so legacy seeds keep their historical values.
+  // ones so legacy seeds keep their historical values. The second draw
+  // picked the retired full-scan waterfill; it is still consumed.
   s.indexed_placement = hotpath_rng.next_double() < 0.25 ? 0 : 1;
-  s.incremental_rates = hotpath_rng.next_double() < 0.25 ? 0 : 1;
+  hotpath_rng.next_double();
   s.fast_shuffle = hotpath_rng.next_double() < 0.25 ? 0 : 1;
   return s;
 }
@@ -265,7 +266,6 @@ harness::WorldConfig world_config(const FuzzScenario& scenario) {
   config.faults.enable = true;
   config.scheduler = scenario.policy;  // empty = mode default
   config.hdfs.indexed_placement = scenario.indexed_placement != 0;
-  config.cluster.network.incremental_rates = scenario.incremental_rates != 0;
   config.mr.fast_shuffle = scenario.fast_shuffle != 0;
   config.seed = scenario.seed;
   config.log_level = LogLevel::kError;
@@ -297,9 +297,6 @@ std::string serialize_scenario(const FuzzScenario& scenario) {
   }
   if (scenario.indexed_placement != 1) {
     out << "indexed_placement " << scenario.indexed_placement << "\n";
-  }
-  if (scenario.incremental_rates != 1) {
-    out << "incremental_rates " << scenario.incremental_rates << "\n";
   }
   if (scenario.fast_shuffle != 1) {
     out << "fast_shuffle " << scenario.fast_shuffle << "\n";
@@ -374,7 +371,10 @@ FuzzScenario parse_scenario(const std::string& text) {
     } else if (key == "indexed_placement") {
       ok = static_cast<bool>(fields >> s.indexed_placement);
     } else if (key == "incremental_rates") {
-      ok = static_cast<bool>(fields >> s.incremental_rates);
+      // Retired toggle (the network has one waterfill engine): older
+      // reproducers still carry it, so it parses and is ignored.
+      int ignored = 0;
+      ok = static_cast<bool>(fields >> ignored);
     } else if (key == "fast_shuffle") {
       ok = static_cast<bool>(fields >> s.fast_shuffle);
     } else if (key == "stream_horizon_ms") {

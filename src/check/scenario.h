@@ -63,14 +63,13 @@ struct FuzzScenario {
   std::string policy;
 
   // Hot-path toggles (HdfsConfig::indexed_placement,
-  // NetworkConfig::incremental_rates, MRConfig::fast_shuffle). Both
-  // sides of each toggle are byte-identical by contract; the fuzzer
-  // still flips them on a fraction of seeds so the legacy engines keep
-  // riding through the full differential oracle. 1 = the shipping
-  // default, so pre-toggle reproducer files parse (and serialize)
-  // unchanged.
+  // MRConfig::fast_shuffle). Both sides of each toggle are
+  // byte-identical by contract; the fuzzer still flips them on a
+  // fraction of seeds so the legacy engines keep riding through the
+  // full differential oracle. 1 = the shipping default, so pre-toggle
+  // reproducer files parse (and serialize) unchanged. The retired
+  // `incremental_rates` key still parses and is ignored.
   int indexed_placement = 1;
-  int incremental_rates = 1;
   int fast_shuffle = 1;
 
   // Explicit, already-expanded fault schedule (plan probabilities are

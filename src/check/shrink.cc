@@ -40,9 +40,8 @@ std::vector<std::function<bool(FuzzScenario&)>> round_candidates(const FuzzScena
   // this step is genuinely about the scenario, and one that doesn't
   // points straight at an engine divergence.
   candidates.push_back([](FuzzScenario& s) {
-    if (s.indexed_placement == 1 && s.incremental_rates == 1 && s.fast_shuffle == 1) return false;
+    if (s.indexed_placement == 1 && s.fast_shuffle == 1) return false;
     s.indexed_placement = 1;
-    s.incremental_rates = 1;
     s.fast_shuffle = 1;
     return true;
   });

@@ -6,43 +6,55 @@
 // down-link), every rack has a full-duplex uplink to a non-blocking
 // core switch. A flow's path is the set of directed links it crosses;
 // rates are assigned by progressive filling (the classic max-min
-// waterfill), and — as in sim::BandwidthResource — every membership
-// change advances fluid progress and re-plans the single "next
-// completion" event.
+// waterfill), and one "next completion" event stands for every flow
+// in flight.
+//
+// One waterfill per simulated instant. A membership change (start,
+// cancel, completion) integrates fluid progress, cancels the pending
+// completion event and marks the rates stale; the waterfill and the
+// new completion event wait for the end of the instant
+// (sim::Simulation::at_instant_end). A dispatch that starts thousands
+// of shuffle flows at one instant pays for one waterfill, not one per
+// flow, and the outcome is exactly that of replanning after every
+// change:
+//   - the waterfill recomputes from scratch, so its answer depends
+//     only on the final set and order of live flows and legs;
+//   - integrating progress at an unchanged instant is a no-op;
+//   - every intermediate completion estimate lies strictly after now,
+//     so the next change at this instant would have cancelled it
+//     before it fired; the one that survives is pushed under the
+//     sequence number it would have taken at the last change
+//     (Simulation::take_seq), so it dispatches in the same (time,
+//     seq) place.
+// The last point fails only when a leg sits at <= kEpsilonBytes after
+// progress is integrated: the next completion may then be due at this
+// very instant, where its seq decides which same-instant events it
+// precedes. For such an instant the network replans after every
+// change. flow_rate() flushes pending work before it reads.
+//
+// The waterfill touches only the links active flows cross: per-link
+// flow lists pick each freeze set and a lazy min-heap over link shares
+// finds each bottleneck, O(touched links * log) per replan whatever
+// the fabric size. It performs the floating-point operations of a
+// scan over every link, in the same order, so its rates equal that
+// scan's to 0 ULP — tests/network_rates_diff_test.cc keeps the full
+// scan as a reference model and checks both against a brute-force
+// max-min oracle.
 //
 // Flows live in a slab with an intrusive insertion-order list and an
-// id -> slot map, so cancel/flow_rate are O(1) instead of linear scans
-// and iteration order (which fixes both the waterfill freeze order and
-// completion-callback order, i.e. the traces) is the same stable
-// insertion order the old erase-preserving vector had.
-//
-// Two interchangeable waterfill engines sit behind assign_rates:
-//
-//   full (incremental_rates = false)  — the legacy scan: copy every
-//     link capacity, then per round scan ALL links for the bottleneck
-//     and ALL flows to freeze: O(rounds * (links + flows)) per replan,
-//     O(links) even for one flow on a 10k-node fabric.
-//   incremental (incremental_rates = true) — only the links touched by
-//     active flows participate: per-link flow lists pick the freeze
-//     set without a global scan, and a lazy min-heap over link shares
-//     replaces the per-round bottleneck sweep:
-//     O(touched links * log) per replan, independent of fabric size.
-//
-// Both engines perform the identical floating-point operations in the
-// identical order, so every assigned rate matches to 0 ULP — the
-// network_rates_diff_test holds them to exact equality on every replan
-// and checks the result against a brute-force max-min oracle.
+// id -> slot map, so cancel/flow_rate are O(1), and iteration order
+// (which fixes both the waterfill freeze order and completion-callback
+// order, i.e. the traces) is stable insertion order.
 //
 // Every slab entry is a *bundle* of one or more legs sharing a
-// (src, dst) path: start_flow starts a 1-leg bundle (the classic flow,
-// unchanged by construction), and the fast-shuffle engine batches the
-// same-(src,dst) fetch legs of one dispatch into a single bundle via
-// announce_flow/start_announced. Each leg keeps its own id, byte
-// count, fluid progress and completion trace/callback, and the
-// waterfill counts *legs* when splitting link capacity, so a k-leg
-// bundle is observationally identical — rates, completion times and
-// traces — to the k separate flows the legacy path would have opened,
-// while costing one slab slot and one waterfill membership.
+// (src, dst) path: start_flow starts a 1-leg bundle, and the shuffle
+// engine batches the same-(src,dst) fetch legs of one dispatch into a
+// single bundle via announce_flow/start_announced. Each leg keeps its
+// own id, byte count, fluid progress and completion trace/callback,
+// and the waterfill counts *legs* when splitting link capacity, so a
+// k-leg bundle is observationally identical — rates, completion times
+// and traces — to k separate flows, while costing one slab slot and
+// one waterfill membership.
 
 #include <array>
 #include <cstdint>
@@ -63,13 +75,6 @@ struct NetworkConfig {
   // shared fabric parameters.
   Rate rack_uplink = Rate::gbit_per_sec(10);
   Rate loopback = Rate::gbit_per_sec(20);  // same-node "transfer"
-
-  // ---- cluster-scale hot path (docs/PERF.md, "Cluster scale") -------
-  // Incremental progressive filling (see the header comment). Rates
-  // are bit-identical either way; the toggle selects an
-  // implementation, never an answer, and keeps the legacy full scan
-  // testable as the bench "before" side.
-  bool incremental_rates = true;
 };
 
 class Network {
@@ -79,6 +84,10 @@ class Network {
 
   Network(sim::Simulation& sim, const Topology& topology, std::vector<Rate> node_nic_rates,
           NetworkConfig config);
+  ~Network();
+
+  Network(const Network&) = delete;
+  Network& operator=(const Network&) = delete;
 
   // Starts a src -> dst flow of `bytes`. Zero-byte flows complete at
   // the current instant.
@@ -108,17 +117,17 @@ class Network {
   // Flow ids in flight (every leg of a bundle counts: one per
   // announced id not yet completed or cancelled).
   std::size_t active_flows() const { return active_legs_; }
-  // Rate currently assigned to a flow (0 if unknown/finished).
-  Rate flow_rate(FlowId id) const;
+  // Rate currently assigned to a flow (0 if unknown/finished). Runs
+  // a pending waterfill first.
+  Rate flow_rate(FlowId id);
   Bytes bytes_delivered() const { return bytes_delivered_; }
 
   // Lifetime counters for the placement/shuffle bench and the
   // bounded-work assertions in the differential suite.
   struct Stats {
     std::uint64_t flows_started = 0;
-    std::uint64_t replans = 0;        // assign_rates invocations
-    std::uint64_t links_scanned = 0;  // bottleneck-search link visits (full)
-                                      // or heap pops (incremental)
+    std::uint64_t replans = 0;        // waterfills run
+    std::uint64_t links_scanned = 0;  // bottleneck-search heap pops
   };
   const Stats& stats() const { return stats_; }
 
@@ -156,10 +165,9 @@ class Network {
   void remove_flow(std::uint32_t slot);  // unlink + per-link lists + free (legs already dead)
   void kill_leg(Flow& flow, Leg& leg);   // id map + live counters
   void advance_progress();
-  void assign_rates();  // progressive filling (dispatches on the toggle)
-  void assign_rates_full();
-  void assign_rates_incremental();
-  void replan();
+  void assign_rates();   // progressive filling
+  void rates_changed();  // after every membership change
+  void flush();          // waterfill + completion event, if stale
   void on_completion_event();
 
   sim::Simulation& sim_;
@@ -190,10 +198,10 @@ class Network {
   std::size_t active_legs_ = 0;   // live legs across all bundles
   std::unordered_map<FlowId, std::uint32_t> slot_of_;  // every leg id -> slot
 
-  // Incremental-waterfill state (maintained only when the toggle is
-  // on). link_flows_[l] holds the active slots crossing l in insertion
-  // order — the same relative order the global list gives, so the
-  // freeze order (and thus every FP operation) matches the full scan.
+  // Waterfill state. link_flows_[l] holds the active slots crossing l
+  // in insertion order — the same relative order the global list
+  // gives, so the freeze order (and thus every FP operation) matches
+  // a full scan.
   std::vector<std::vector<std::uint32_t>> link_flows_;
   // Scratch, sized by link count but touched only on active links;
   // entries are reset via touched_ after every replan.
@@ -206,6 +214,14 @@ class Network {
   std::uint64_t round_ = 0;
   sim::SimTime last_update_ = sim::SimTime::zero();
   sim::EventId completion_event_{};
+  // Deferred-replan state: rates are stale until flush(); finish_seq_
+  // is the seq reserved at the last change for the completion event;
+  // near_done_ says a live leg sat at <= kEpsilonBytes when progress
+  // was last integrated, which forces a replan after every change.
+  bool dirty_ = false;
+  bool near_done_ = false;
+  std::uint64_t finish_seq_ = 0;
+  sim::Simulation::HookId flush_hook_ = 0;
   FlowId next_id_ = 1;
   Bytes bytes_delivered_ = 0;
   Stats stats_;

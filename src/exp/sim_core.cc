@@ -300,8 +300,8 @@ SimCoreResult run_cluster_scale(bool incremental, std::size_t nodes, double hori
   return result;
 }
 
-// One placement/shuffle run: `fast_paths` flips BOTH new toggles
-// (indexed placement + incremental waterfill). Like event-churn and
+// One placement/shuffle run: `fast_paths` flips the indexed placement
+// engine; the network is the same on both sides. Like event-churn and
 // cancel-heavy, this drives the engine pair directly — a scripted mix
 // of replica draws, shuffle-pipeline flow starts, cancels and fluid
 // advances on a datacenter-shaped fabric — because in an end-to-end
@@ -319,11 +319,9 @@ SimCoreResult run_placement_shuffle(bool fast_paths, std::size_t nodes,
   cluster::Topology topology(std::move(rack_layout));
 
   sim::Simulation sim(2024);
-  cluster::NetworkConfig net_config;
-  net_config.incremental_rates = fast_paths;
   cluster::Network network(sim, topology,
                            std::vector<Rate>(nodes, Rate::gbit_per_sec(1)),
-                           net_config);
+                           cluster::NetworkConfig{});
 
   std::vector<cluster::NodeId> datanodes(nodes);
   for (std::size_t n = 0; n < nodes; ++n) {

@@ -22,11 +22,12 @@
 //   placement-shuffle a scripted block-write/shuffle-flow mix driven
 //                    straight at the placement policy + flow network
 //                    on a 10k-node fabric, run twice: with the
-//                    indexed placement engine + incremental waterfill
-//                    on and off — the recorded speedup for the
-//                    placement/network hot-path overhaul. Throughput
-//                    counts replan+placement events (replica draws +
-//                    rate replans), identical work on both sides,
+//                    indexed placement engine on and off — the
+//                    recorded speedup for the placement hot-path
+//                    overhaul (both sides share the one network).
+//                    Throughput counts replan+placement events
+//                    (replica draws + rate replans), identical work on
+//                    both sides,
 //   job-scale        one wide MapReduce job (2k maps x 512 reducers
 //                    at 1k nodes full; 256 x 64 at 128 smoke) driven
 //                    straight at the ReduceRunner fetch engine, run
@@ -99,14 +100,16 @@ SimCorePair sim_core_cluster_scale(bool smoke);
 // fluid advances, driven straight at BlockPlacementPolicy + Network on
 // a datacenter-shaped fabric (10k nodes full, 256 smoke; ~40
 // nodes/rack, bounded live-flow population). `modern` runs the indexed
-// placement engine + incremental waterfill (the defaults); `legacy`
-// re-runs the identical script with HdfsConfig::indexed_placement and
-// NetworkConfig::incremental_rates off — the historical O(N) replica
-// scan and O(links) bottleneck sweep. The script (and therefore the
-// event count) is identical on both sides, traces stay byte-identical
-// in the end-to-end system either way (hotpath_equivalence_test proves
-// it); `events` counts replica draws + rate replans, so events/sec is
-// the replan+placement rate the acceptance bar is stated in.
+// placement engine (the default); `legacy` re-runs the identical
+// script with HdfsConfig::indexed_placement off — the historical O(N)
+// replica scan. Both sides drive the same Network. The script (and
+// therefore the event count) is identical on both sides, traces stay
+// byte-identical in the end-to-end system either way
+// (hotpath_equivalence_test proves it); `events` counts replica draws
+// + rate replans, so events/sec is the replan+placement rate the
+// acceptance bar is stated in. The network waterfills once per
+// simulated instant, and the script only advances the clock every 16
+// iterations, so most of its starts and cancels share a replan.
 SimCorePair sim_core_placement_shuffle(bool smoke);
 
 // The shuffle/job hot paths, driven straight at the ReduceRunner fetch

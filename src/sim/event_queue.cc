@@ -21,6 +21,12 @@ constexpr std::uint64_t pack_id(std::uint32_t slot, std::uint32_t gen) {
 }  // namespace
 
 EventId EventQueue::push(SimTime at, EventCallback callback, EventLabel label) {
+  return push(at, next_seq_++, std::move(callback), label);
+}
+
+EventId EventQueue::push(SimTime at, std::uint64_t seq, EventCallback callback,
+                         EventLabel label) {
+  assert(seq < next_seq_ && "seq must come from take_seq()");
   std::uint32_t slot;
   if (last_freed_ != kNoSlot) {
     slot = last_freed_;
@@ -39,7 +45,7 @@ EventId EventQueue::push(SimTime at, EventCallback callback, EventLabel label) {
   record.callback = std::move(callback);
   record.label = label;
 
-  heap_.push_back(HeapEntry{at, next_seq_++, slot});
+  heap_.push_back(HeapEntry{at, seq, slot});
   sift_up(heap_.size() - 1);
   ++live_;
   ++stats_.pushed;

@@ -83,6 +83,11 @@ class EventQueue {
   };
 
   EventId push(SimTime at, EventCallback callback, EventLabel label = {});
+  // Pushes under a sequence number handed out earlier by take_seq():
+  // the event dispatches where that reservation stands in the (time,
+  // seq) order, exactly as if it had been pushed when the seq was
+  // taken. Precondition: `seq` came from take_seq() and is unused.
+  EventId push(SimTime at, std::uint64_t seq, EventCallback callback, EventLabel label = {});
 
   // Returns true if the event existed and had not yet fired.
   bool cancel(EventId id);
@@ -104,7 +109,8 @@ class EventQueue {
   // Hands out the next global sequence number without pushing. The
   // timer wheel stamps its entries from this same counter (at the
   // call sites where a non-batched run would have pushed here), which
-  // is what makes merged dispatch byte-identical to the pure heap.
+  // is what makes merged dispatch byte-identical to the pure heap;
+  // push(at, seq, ...) lets a queue event be stamped the same way.
   std::uint64_t take_seq() { return next_seq_++; }
 
   struct Fired {

@@ -4,9 +4,6 @@
 //                        per-rack order-statistics indexes vs. the
 //                        legacy per-draw candidate-vector scan
 //                        (HdfsConfig::indexed_placement)
-//   incremental_rates  — max-min waterfill over only the links active
-//                        flows touch vs. the legacy full-fabric scan
-//                        (NetworkConfig::incremental_rates)
 //   fast_shuffle       — partition-once map-output registry + slab
 //                        fetch records + same-source leg coalescing
 //                        vs. the legacy per-fetch repartition and
@@ -21,8 +18,10 @@
 // "before" for the placement/shuffle cluster-scale bench. The
 // scenarios deliberately stress both paths: small HDFS blocks (many
 // placement draws), sort-heavy shuffles (many concurrent flows), node
-// crashes (flow cancellation mid-waterfill), and the same generated
-// fuzz scenarios the CI fuzz stage replays.
+// crashes (flow cancellation mid-shuffle), and the same generated
+// fuzz scenarios the CI fuzz stage replays. (The network's waterfill
+// has one engine; network_rates_diff_test holds it to a full-scan
+// reference model.)
 
 #include <gtest/gtest.h>
 
@@ -48,25 +47,20 @@ using harness::RunMode;
 
 struct Toggles {
   bool indexed_placement;
-  bool incremental_rates;
   bool fast_shuffle;
 };
 
 // The corners: [0] is the shipping default, the rest must match it —
-// each axis off individually, plus everything-legacy (the full 2^3
-// cube adds wall clock without adding coverage: the engines don't
-// interact beyond what these five corners exercise).
+// each axis off individually, plus everything-legacy.
 constexpr Toggles kCorners[] = {
-    {true, true, true},
-    {false, true, true},
-    {true, false, true},
-    {true, true, false},
-    {false, false, false},
+    {true, true},
+    {false, true},
+    {true, false},
+    {false, false},
 };
 
 void apply(harness::WorldConfig& config, const Toggles& toggles) {
   config.hdfs.indexed_placement = toggles.indexed_placement;
-  config.cluster.network.incremental_rates = toggles.incremental_rates;
   config.mr.fast_shuffle = toggles.fast_shuffle;
 }
 
@@ -97,7 +91,6 @@ void expect_all_corners_identical(const harness::WorldConfig& base, RunMode mode
       ASSERT_EQ(reference, text)
           << what << ": trace diverged at corner (indexed_placement="
           << kCorners[i].indexed_placement
-          << ", incremental_rates=" << kCorners[i].incremental_rates
           << ", fast_shuffle=" << kCorners[i].fast_shuffle << ")";
     }
   }
@@ -140,8 +133,7 @@ TEST(HotPathEquivalence, SmallBlocksManyReplicaDrawsAreByteIdentical) {
 
 TEST(HotPathEquivalence, ShuffleHeavyCrashRecoveryIsByteIdentical) {
   // TeraSort's all-to-all shuffle under a mid-run crash: concurrent
-  // flows on shared links plus cancellation of the dead node's flows —
-  // the waterfill replans where the heap path earns its keep.
+  // flows on shared links plus cancellation of the dead node's flows.
   harness::WorldConfig config;
   config.yarn.nm_expiry = sim::SimDuration::seconds(3.0);
   harness::FaultSpec crash;
@@ -162,7 +154,7 @@ TEST(HotPathEquivalence, ShuffleHeavyCrashRecoveryIsByteIdentical) {
 // including fault schedules, policy draws, and the generator's own
 // hot-path axis (overridden per corner here). Stream scenarios go
 // through the StreamPump like the oracle does; single-job ones through
-// World::run. All 12 seeds run at all five corners.
+// World::run. All 12 seeds run at all four corners.
 TEST(HotPathEquivalence, FuzzScenarioTracesAreByteIdenticalAcrossToggles) {
   int scenarios = 0;
   for (std::uint64_t seed = 0; seed < 12; ++seed) {

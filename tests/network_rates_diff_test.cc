@@ -1,19 +1,28 @@
-// Differential wall for the two waterfill engines (cluster/network.h):
-// an incremental Network and a legacy full-scan Network are driven
-// through the same randomized op script (start / cancel / advance, in
-// lock-step simulations), and every assigned rate must match to 0 ULP
-// after every replan — plus the incremental side's allocation is
-// checked against an independent brute-force max-min fairness oracle
-// (feasibility on every link, and every flow crossing a saturated link
-// on which it has the maximum rate). A final test pins the
-// bounded-work claim: the incremental engine's bottleneck search must
-// not scale with fabric size the way the legacy full scan does.
+// Differential wall for the network's waterfill (cluster/network.h).
+// A Network and a compact reference model of the original algorithm
+// (FullScanNetwork below: every waterfill round scans every link for
+// the bottleneck and every flow for the freeze set, and every change
+// replans at once) are driven through the same randomized op scripts
+// in lock-step simulations. Every assigned rate must match to 0 ULP,
+// every completion must land at the same instant in the same order,
+// and the Network's allocation is also checked against an independent
+// brute-force max-min fairness oracle (feasibility on every link, and
+// every flow crossing a saturated link on which it has the maximum
+// rate). The burst scripts mutate many times per simulated instant,
+// from inside events and completion callbacks, which is where the
+// Network defers its waterfill to the end of the instant. A final
+// test pins the bounded-work claim: the Network's bottleneck search
+// must not scale with fabric size the way the full scan does.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
+#include <iterator>
+#include <limits>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "cluster/network.h"
@@ -54,15 +63,13 @@ Fabric make_fabric(RngStream& rng, int max_nodes, int max_racks) {
 // Independent re-derivation of Network's link layout and flow paths,
 // so the fairness oracle does not trust the code under test for either.
 struct LinkModel {
-  LinkModel(const Fabric& fabric, const cluster::Topology& topology,
+  LinkModel(const cluster::Topology& topology, const std::vector<Rate>& nic_rates,
             const NetworkConfig& config)
-      : topology_(topology),
-        nodes_(fabric.racks.empty() ? 0 : static_cast<std::size_t>(fabric.nodes())),
-        racks_(fabric.racks.size()) {
+      : topology_(topology), nodes_(nic_rates.size()), racks_(topology.rack_count()) {
     capacity.assign(3 * nodes_ + 2 * racks_, 0.0);
     for (std::size_t n = 0; n < nodes_; ++n) {
-      capacity[n] = fabric.nic_rates[n].bytes_per_sec;           // node up
-      capacity[nodes_ + n] = fabric.nic_rates[n].bytes_per_sec;  // node down
+      capacity[n] = nic_rates[n].bytes_per_sec;           // node up
+      capacity[nodes_ + n] = nic_rates[n].bytes_per_sec;  // node down
       capacity[2 * nodes_ + 2 * racks_ + n] = config.loopback.bytes_per_sec;
     }
     for (std::size_t r = 0; r < racks_; ++r) {
@@ -91,6 +98,160 @@ struct LinkModel {
   std::size_t racks_;
 };
 
+// The reference model: the network's original algorithm, kept
+// compact. Single-leg flows in a vector in insertion order; a
+// waterfill scans every link per round; every change integrates
+// progress, reruns the waterfill and reschedules the completion event
+// at once. Same interface as Network where the scripts use it.
+class FullScanNetwork {
+ public:
+  using FlowId = Network::FlowId;
+  using CompletionCallback = Network::CompletionCallback;
+  struct Stats {
+    std::uint64_t flows_started = 0;
+    std::uint64_t replans = 0;
+    std::uint64_t links_scanned = 0;
+  };
+
+  FullScanNetwork(sim::Simulation& sim, const cluster::Topology& topology,
+                  const std::vector<Rate>& nic_rates, const NetworkConfig& config)
+      : sim_(sim), links_(topology, nic_rates, config) {}
+
+  FlowId start_flow(NodeId src, NodeId dst, Bytes bytes, CompletionCallback on_complete) {
+    const FlowId id = next_id_++;
+    if (bytes == 0) {
+      sim_.schedule_now([cb = std::move(on_complete)] { cb(sim::SimDuration::zero()); });
+      return id;
+    }
+    advance();
+    flows_.push_back(Flow{id, links_.path(src, dst), static_cast<double>(bytes), bytes,
+                          sim_.now(), 0.0, std::move(on_complete)});
+    ++stats_.flows_started;
+    replan();
+    return id;
+  }
+
+  bool cancel(FlowId id) {
+    advance();
+    const auto it = std::find_if(flows_.begin(), flows_.end(),
+                                 [id](const Flow& f) { return f.id == id; });
+    if (it == flows_.end()) return false;
+    flows_.erase(it);
+    replan();
+    return true;
+  }
+
+  Rate flow_rate(FlowId id) const {
+    for (const Flow& f : flows_) {
+      if (f.id == id) return Rate{f.rate};
+    }
+    return Rate{0.0};
+  }
+  std::size_t active_flows() const { return flows_.size(); }
+  Bytes bytes_delivered() const { return bytes_delivered_; }
+  const Stats& stats() const { return stats_; }
+
+ private:
+  struct Flow {
+    FlowId id;
+    std::vector<std::size_t> path;
+    double remaining;
+    Bytes total;
+    sim::SimTime started;
+    double rate;
+    CompletionCallback on_complete;
+  };
+
+  void advance() {
+    const sim::SimTime now = sim_.now();
+    if (now > last_update_) {
+      const double elapsed = (now - last_update_).as_seconds();
+      for (Flow& f : flows_) f.remaining = std::max(0.0, f.remaining - f.rate * elapsed);
+    }
+    last_update_ = now;
+  }
+
+  void waterfill() {
+    ++stats_.replans;
+    std::vector<double> residual = links_.capacity;
+    std::vector<int> unassigned(residual.size(), 0);
+    for (const Flow& f : flows_) {
+      for (const std::size_t l : f.path) ++unassigned[l];
+    }
+    std::vector<bool> frozen(flows_.size(), false);
+    std::size_t remaining = flows_.size();
+    while (remaining > 0) {
+      double best = std::numeric_limits<double>::infinity();
+      std::size_t bottleneck = residual.size();
+      for (std::size_t l = 0; l < residual.size(); ++l) {
+        ++stats_.links_scanned;
+        if (unassigned[l] == 0) continue;
+        const double share = residual[l] / unassigned[l];
+        if (share < best) {
+          best = share;
+          bottleneck = l;
+        }
+      }
+      for (std::size_t i = 0; i < flows_.size(); ++i) {
+        Flow& f = flows_[i];
+        if (frozen[i] || std::find(f.path.begin(), f.path.end(), bottleneck) == f.path.end()) {
+          continue;
+        }
+        f.rate = best;
+        frozen[i] = true;
+        --remaining;
+        for (const std::size_t l : f.path) {
+          residual[l] = std::max(0.0, residual[l] - best);
+          --unassigned[l];
+        }
+      }
+    }
+  }
+
+  void replan() {
+    waterfill();
+    if (completion_.valid()) {
+      sim_.cancel(completion_);
+      completion_ = sim::EventId{};
+    }
+    if (flows_.empty()) return;
+    double eta = std::numeric_limits<double>::infinity();
+    for (const Flow& f : flows_) {
+      if (f.rate > 0) eta = std::min(eta, f.remaining / f.rate);
+    }
+    completion_ = sim_.schedule_after(sim::SimDuration::seconds_ceil(std::max(0.0, eta)),
+                                      [this] { on_completion(); });
+  }
+
+  void on_completion() {
+    completion_ = sim::EventId{};
+    advance();
+    std::vector<Flow> done;
+    for (auto it = flows_.begin(); it != flows_.end();) {
+      if (it->remaining <= 1e-6) {
+        done.push_back(std::move(*it));
+        it = flows_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    replan();
+    for (Flow& f : done) {
+      bytes_delivered_ += f.total;
+      f.on_complete(sim_.now() - f.started);
+    }
+  }
+
+  sim::Simulation& sim_;
+  LinkModel links_;
+  std::vector<Flow> flows_;
+  sim::SimTime last_update_ = sim::SimTime::zero();
+  sim::EventId completion_{};
+  FlowId next_id_ = 1;
+  Bytes bytes_delivered_ = 0;
+  Stats stats_;
+};
+
 struct LiveFlow {
   NodeId src;
   NodeId dst;
@@ -101,7 +262,7 @@ struct LiveFlow {
 // crosses at least one saturated link on which its rate is maximal —
 // so no flow's rate can be raised without lowering an equal-or-smaller
 // one.
-void expect_max_min_fair(const Network& net, const LinkModel& model,
+void expect_max_min_fair(Network& net, const LinkModel& model,
                          const std::map<Network::FlowId, LiveFlow>& live) {
   std::vector<double> load(model.capacity.size(), 0.0);
   std::vector<double> max_rate(model.capacity.size(), 0.0);
@@ -137,87 +298,165 @@ struct Completion {
   }
 };
 
-// Drives one fuzzed op script through both engines in lock-step.
-// FlowIds are deterministic (sequential from 1 per Network), so both
-// sides hand out the same id for the same script position — asserted,
-// then used to register completion callbacks that know their own id.
+// One side of a lock-step run: a simulation, a network (Network or the
+// reference model) and what the script has observed of it. FlowIds
+// are sequential from 1 on both, so each side predicts the id a start
+// will get (asserted) and registers a callback that knows it.
+template <class Net>
+struct Side {
+  Side(std::uint64_t seed, const Fabric& fabric)
+      : topology(fabric.topology()),
+        sim(seed),
+        net(sim, topology, fabric.nic_rates, NetworkConfig{}) {}
+
+  // With `chain` set, every third completion starts a reverse flow
+  // from inside its callback: a mutation in the completion's own
+  // dispatch.
+  void start(NodeId src, NodeId dst, Bytes bytes) {
+    const Network::FlowId id = next_id++;
+    const Network::FlowId got =
+        net.start_flow(src, dst, bytes, [this, id, src, dst, bytes](sim::SimDuration) {
+          done.push_back({id, sim.now().as_micros()});
+          live.erase(id);
+          if (chain && id % 3 == 0) start(dst, src, bytes / 2 + 1);
+        });
+    EXPECT_EQ(got, id);
+    if (bytes > 0) live.emplace(id, LiveFlow{src, dst});
+  }
+
+  void cancel(Network::FlowId target) {
+    const bool was_live = live.erase(target) == 1;
+    EXPECT_EQ(net.cancel(target), was_live) << "flow " << target;
+  }
+
+  cluster::Topology topology;
+  sim::Simulation sim;
+  Net net;
+  bool chain = false;
+  Network::FlowId next_id = 1;
+  std::map<Network::FlowId, LiveFlow> live;  // bytes > 0, not yet done/cancelled
+  std::vector<Completion> done;
+};
+
+// The lock-step check after every step: same live set, same
+// completions so far (ids and instants, in order), every rate equal
+// to 0 ULP — identical FP operations in identical order, so exact
+// equality, not near-equality — and the allocation max-min fair.
+void expect_same_state(Side<Network>& net, Side<FullScanNetwork>& ref, const LinkModel& model,
+                       const std::string& where) {
+  ASSERT_EQ(net.done, ref.done) << where << ": completion logs diverged";
+  ASSERT_EQ(net.net.active_flows(), net.live.size()) << where;
+  ASSERT_EQ(ref.net.active_flows(), ref.live.size()) << where;
+  for (const auto& [id, flow] : ref.live) {
+    ASSERT_EQ(net.live.count(id), 1u) << where << " flow " << id;
+    ASSERT_EQ(net.net.flow_rate(id).bytes_per_sec, ref.net.flow_rate(id).bytes_per_sec)
+        << where << " flow " << id;
+  }
+  expect_max_min_fair(net.net, model, net.live);
+}
+
+// Both sides must finish every remaining flow, at the same instants,
+// in the same order, having done the same work.
+void expect_same_drain(Side<Network>& net, Side<FullScanNetwork>& ref, std::int64_t now_us,
+                       const std::string& where) {
+  net.sim.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
+  ref.sim.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
+  EXPECT_EQ(net.net.active_flows(), 0u) << where;
+  EXPECT_EQ(ref.net.active_flows(), 0u) << where;
+  EXPECT_EQ(net.done, ref.done) << where << ": completion logs diverged";
+  EXPECT_EQ(net.net.bytes_delivered(), ref.net.bytes_delivered()) << where;
+  EXPECT_EQ(net.net.stats().flows_started, ref.net.stats().flows_started) << where;
+  // At most one waterfill per instant against one per change.
+  EXPECT_LE(net.net.stats().replans, ref.net.stats().replans) << where;
+}
+
+// Drives one fuzzed op script through both sides, one op per step,
+// each op issued between runs.
 void run_script(std::uint64_t seed, int ops, int max_nodes) {
   RngStream rng(seed, "test.netdiff");
   const Fabric fabric = make_fabric(rng, max_nodes, /*max_racks=*/4);
-  const cluster::Topology topo_inc = fabric.topology();
-  const cluster::Topology topo_full = fabric.topology();
-
-  NetworkConfig inc_config;
-  inc_config.incremental_rates = true;
-  NetworkConfig full_config;
-  full_config.incremental_rates = false;
-
-  sim::Simulation sim_inc(seed);
-  sim::Simulation sim_full(seed);
-  Network inc(sim_inc, topo_inc, fabric.nic_rates, inc_config);
-  Network full(sim_full, topo_full, fabric.nic_rates, full_config);
-  const LinkModel model(fabric, topo_inc, inc_config);
-
-  std::map<Network::FlowId, LiveFlow> live;  // bytes > 0, not yet done/cancelled
-  std::vector<Completion> done_inc, done_full;
-  Network::FlowId next_id = 1;
+  Side<Network> net(seed, fabric);
+  Side<FullScanNetwork> ref(seed, fabric);
+  const LinkModel model(net.topology, fabric.nic_rates, NetworkConfig{});
 
   std::int64_t now_us = 0;
   for (int op = 0; op < ops; ++op) {
     now_us += rng.next_int(0, 400'000);
-    sim_inc.run_until(sim::SimTime::from_micros(now_us));
-    sim_full.run_until(sim::SimTime::from_micros(now_us));
-    // Completions that fired during the advance leave the live set;
-    // cross-engine agreement on them is checked via the logs below.
-    for (const Completion& c : done_inc) live.erase(c.id);
+    net.sim.run_until(sim::SimTime::from_micros(now_us));
+    ref.sim.run_until(sim::SimTime::from_micros(now_us));
 
     const std::int64_t kind = rng.next_int(0, 9);
     if (kind <= 5) {  // start (kind 5: a zero-byte flow)
       const auto src = static_cast<NodeId>(rng.next_int(0, fabric.nodes() - 1));
       const auto dst = static_cast<NodeId>(rng.next_int(0, fabric.nodes() - 1));
       const Bytes bytes = kind == 5 ? 0 : 64_KB * rng.next_int(1, 64);
-      const Network::FlowId id = next_id++;
-      const auto id_inc = inc.start_flow(src, dst, bytes, [&done_inc, &sim_inc, id](sim::SimDuration) {
-        done_inc.push_back({id, sim_inc.now().as_micros()});
-      });
-      const auto id_full = full.start_flow(src, dst, bytes, [&done_full, &sim_full, id](sim::SimDuration) {
-        done_full.push_back({id, sim_full.now().as_micros()});
-      });
-      ASSERT_EQ(id_inc, id) << "seed " << seed << " op " << op;
-      ASSERT_EQ(id_full, id) << "seed " << seed << " op " << op;
-      if (bytes > 0) live.emplace(id, LiveFlow{src, dst});
-    } else if (kind <= 7 && next_id > 1) {  // cancel (possibly of a finished id)
-      const auto target = static_cast<Network::FlowId>(rng.next_int(1, static_cast<std::int64_t>(next_id) - 1));
-      const bool cancelled_inc = inc.cancel(target);
-      const bool cancelled_full = full.cancel(target);
-      ASSERT_EQ(cancelled_inc, cancelled_full) << "seed " << seed << " op " << op;
-      ASSERT_EQ(cancelled_inc, live.count(target) == 1) << "seed " << seed << " op " << op;
-      live.erase(target);
+      net.start(src, dst, bytes);
+      ref.start(src, dst, bytes);
+    } else if (kind <= 7 && net.next_id > 1) {  // cancel (possibly of a finished id)
+      const auto target =
+          static_cast<Network::FlowId>(rng.next_int(1, static_cast<std::int64_t>(net.next_id) - 1));
+      net.cancel(target);
+      ref.cancel(target);
     }
     // kind 8-9: pure time advance.
 
-    ASSERT_EQ(inc.active_flows(), live.size()) << "seed " << seed << " op " << op;
-    ASSERT_EQ(full.active_flows(), live.size()) << "seed " << seed << " op " << op;
-    for (const auto& [id, flow] : live) {
-      // The 0-ULP contract: identical FP operations in identical
-      // order, so exact equality — not near-equality — on every rate.
-      ASSERT_EQ(inc.flow_rate(id).bytes_per_sec, full.flow_rate(id).bytes_per_sec)
-          << "seed " << seed << " op " << op << " flow " << id;
-    }
-    expect_max_min_fair(inc, model, live);
+    expect_same_state(net, ref, model, "seed " + std::to_string(seed) + " op " + std::to_string(op));
     if (::testing::Test::HasFatalFailure()) return;
   }
+  expect_same_drain(net, ref, now_us, "seed " + std::to_string(seed));
+}
 
-  // Drain: both sides must finish every remaining flow, at the same
-  // instants, in the same order.
-  sim_inc.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
-  sim_full.run_until(sim::SimTime::from_micros(now_us + 3'600'000'000LL));
-  EXPECT_EQ(inc.active_flows(), 0u) << "seed " << seed;
-  EXPECT_EQ(full.active_flows(), 0u) << "seed " << seed;
-  EXPECT_EQ(done_inc, done_full) << "seed " << seed << ": completion logs diverged";
-  EXPECT_EQ(inc.bytes_delivered(), full.bytes_delivered()) << "seed " << seed;
-  EXPECT_EQ(inc.stats().flows_started, full.stats().flows_started) << "seed " << seed;
-  EXPECT_EQ(inc.stats().replans, full.stats().replans) << "seed " << seed;
+// Drives bursts: each step lands 1-8 ops at one simulated instant from
+// inside a scheduled event — where the Network defers its waterfill to
+// the end of the instant — and completions chain reverse flows from
+// their callbacks. A quarter of the steps reuse the previous instant,
+// so a burst can follow completions (and a flush) at its own instant.
+void run_bursts(std::uint64_t seed, int steps, int max_nodes) {
+  RngStream rng(seed, "test.netdiff.bursts");
+  const Fabric fabric = make_fabric(rng, max_nodes, /*max_racks=*/4);
+  Side<Network> net(seed, fabric);
+  Side<FullScanNetwork> ref(seed, fabric);
+  net.chain = ref.chain = true;
+  const LinkModel model(net.topology, fabric.nic_rates, NetworkConfig{});
+
+  struct Op {
+    bool start;
+    NodeId src;
+    NodeId dst;
+    Bytes bytes;
+    Network::FlowId target;
+  };
+  std::int64_t now_us = 0;
+  for (int step = 0; step < steps; ++step) {
+    if (rng.next_int(0, 3) != 0) now_us += rng.next_int(1, 300'000);
+    std::vector<Op> ops(static_cast<std::size_t>(rng.next_int(1, 8)));
+    for (Op& op : ops) {
+      op.start = rng.next_int(0, 3) != 0;
+      op.src = static_cast<NodeId>(rng.next_int(0, fabric.nodes() - 1));
+      op.dst = static_cast<NodeId>(rng.next_int(0, fabric.nodes() - 1));
+      op.bytes = 64_KB * rng.next_int(1, 64);
+      op.target = static_cast<Network::FlowId>(
+          rng.next_int(1, static_cast<std::int64_t>(net.next_id) + 4));
+    }
+    const auto burst = [&ops, now_us](auto& side) {
+      side.sim.schedule_at(sim::SimTime::from_micros(now_us), [&side, ops] {
+        for (const Op& op : ops) {
+          if (op.start) {
+            side.start(op.src, op.dst, op.bytes);
+          } else {
+            side.cancel(op.target);
+          }
+        }
+      });
+      side.sim.run_until(sim::SimTime::from_micros(now_us));
+    };
+    burst(net);
+    burst(ref);
+    expect_same_state(net, ref, model,
+                      "seed " + std::to_string(seed) + " step " + std::to_string(step));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  expect_same_drain(net, ref, now_us, "seed " + std::to_string(seed));
 }
 
 TEST(NetworkRatesDiff, FuzzedScriptsMatchToZeroUlp) {
@@ -232,6 +471,13 @@ TEST(NetworkRatesDiff, DenseContentionMatchesToZeroUlp) {
   // the heap sees a stale entry on nearly every pop.
   for (std::uint64_t seed = 100; seed < 108; ++seed) {
     run_script(seed, /*ops=*/80, /*max_nodes=*/5);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+TEST(NetworkRatesDiff, SameInstantBurstsMatchTheEagerModel) {
+  for (std::uint64_t seed = 200; seed < 216; ++seed) {
+    run_bursts(seed, /*steps=*/40, /*max_nodes=*/12);
     if (::testing::Test::HasFatalFailure()) return;
   }
 }
@@ -252,9 +498,10 @@ TEST(NetworkRatesDiff, UnknownFlowLookupsAreCheap) {
 }
 
 TEST(NetworkRatesDiff, IncrementalWorkIsIndependentOfFabricSize) {
-  // A 1500-node fabric with a handful of flows: the legacy engine
-  // scans every link per waterfill round, the incremental engine only
-  // pops heap entries for links the flows actually cross.
+  // A 1500-node fabric with a handful of flows: the full scan visits
+  // every link per waterfill round, the Network only pops heap entries
+  // for links the flows actually cross. Reading every live rate after
+  // each change forces one waterfill per change on both sides.
   constexpr int kNodes = 1500;
   Fabric fabric;
   fabric.racks.resize(6);
@@ -262,37 +509,37 @@ TEST(NetworkRatesDiff, IncrementalWorkIsIndependentOfFabricSize) {
     fabric.racks[static_cast<std::size_t>(node % 6)].push_back(static_cast<NodeId>(node));
     fabric.nic_rates.push_back(Rate::gbit_per_sec(1));
   }
-  const cluster::Topology topo_inc = fabric.topology();
-  const cluster::Topology topo_full = fabric.topology();
-  NetworkConfig inc_config;
-  inc_config.incremental_rates = true;
-  NetworkConfig full_config;
-  full_config.incremental_rates = false;
-  sim::Simulation sim_inc(1);
-  sim::Simulation sim_full(1);
-  Network inc(sim_inc, topo_inc, fabric.nic_rates, inc_config);
-  Network full(sim_full, topo_full, fabric.nic_rates, full_config);
+  Side<Network> net(1, fabric);
+  Side<FullScanNetwork> ref(1, fabric);
+  const auto expect_same_rates = [&] {
+    for (const auto& [id, flow] : ref.live) {
+      ASSERT_EQ(net.net.flow_rate(id).bytes_per_sec, ref.net.flow_rate(id).bytes_per_sec);
+    }
+  };
 
   std::vector<Network::FlowId> ids;
   for (int i = 0; i < 8; ++i) {
     const auto src = static_cast<NodeId>(i);
     const auto dst = static_cast<NodeId>(kNodes - 1 - i);
-    ids.push_back(inc.start_flow(src, dst, 512_MB, [](sim::SimDuration) {}));
-    full.start_flow(src, dst, 512_MB, [](sim::SimDuration) {});
+    ids.push_back(net.next_id);
+    net.start(src, dst, 512_MB);
+    ref.start(src, dst, 512_MB);
+    expect_same_rates();
   }
   for (const auto id : ids) {
-    ASSERT_EQ(inc.flow_rate(id).bytes_per_sec, full.flow_rate(id).bytes_per_sec);
-    inc.cancel(id);
-    full.cancel(id);
+    net.cancel(id);
+    ref.cancel(id);
+    expect_same_rates();
   }
-  ASSERT_EQ(inc.stats().replans, full.stats().replans);
+  EXPECT_LE(net.net.stats().replans, ref.net.stats().replans);
+  EXPECT_GE(net.net.stats().replans, ids.size());  // one per start at least
   // 8 flows touch <= 8 * 4 links; even with one stale pop per freeze
-  // the incremental engine stays two orders of magnitude under the
-  // full scan's links * rounds * replans.
+  // the Network stays two orders of magnitude under the full scan's
+  // links * rounds * replans.
   const std::uint64_t total_links = 3 * kNodes + 2 * 6;
-  EXPECT_GE(full.stats().links_scanned, total_links);  // at least one full sweep
-  EXPECT_LE(inc.stats().links_scanned, inc.stats().replans * 64);
-  EXPECT_LT(inc.stats().links_scanned * 100, full.stats().links_scanned);
+  EXPECT_GE(ref.net.stats().links_scanned, total_links);  // at least one full sweep
+  EXPECT_LE(net.net.stats().links_scanned, net.net.stats().replans * 64);
+  EXPECT_LT(net.net.stats().links_scanned * 100, ref.net.stats().links_scanned);
 }
 
 }  // namespace

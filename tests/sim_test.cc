@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "sim/bandwidth.h"
@@ -208,6 +209,104 @@ TEST(SimulationTest, ProcessedEventsAccumulates) {
   EXPECT_EQ(sim.processed_events(), 3u);
   sim.run();
   EXPECT_EQ(sim.processed_events(), 5u);
+}
+
+// ---- instant-end hooks and reserved seqs ----------------------------
+
+TEST(SimulationTest, InstantEndHookRunsBeforeTheClockAdvances) {
+  Simulation sim;
+  std::vector<std::string> log;
+  const auto note = [&](const std::string& what) {
+    log.push_back(what + "@" + std::to_string(sim.now().as_micros()));
+  };
+  sim.schedule_at(SimTime::from_micros(10), [&] {
+    sim.at_instant_end([&] {
+      note("hook");
+      // Registered while hooks run: still this instant, same pass.
+      sim.at_instant_end([&] { note("late-hook"); });
+    });
+    sim.schedule_now([&] { note("now"); });  // same instant: before the hook
+  });
+  sim.schedule_at(SimTime::from_micros(20), [&] { note("next"); });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(log, (std::vector<std::string>{"now@10", "hook@10", "late-hook@10", "next@20"}));
+}
+
+TEST(SimulationTest, InstantEndHookRunsBeforeADeadlineExit) {
+  Simulation sim;
+  std::vector<std::string> log;
+  sim.schedule_at(SimTime::from_micros(10), [&] {
+    sim.at_instant_end([&] {
+      log.push_back("hook@" + std::to_string(sim.now().as_micros()));
+      // Work the hook schedules before the deadline still runs in
+      // this call; work past it waits.
+      sim.schedule_at(SimTime::from_micros(30), [&] { log.push_back("inside"); });
+      sim.schedule_at(SimTime::from_micros(60), [&] { log.push_back("past"); });
+    });
+  });
+  EXPECT_EQ(sim.run_until(SimTime::from_micros(50)), 2u);
+  EXPECT_EQ(log, (std::vector<std::string>{"hook@10", "inside"}));
+  EXPECT_EQ(sim.now(), SimTime::from_micros(50));
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(SimulationTest, InstantEndHookRunsWhenTheQueueIsEmpty) {
+  Simulation sim;
+  int hooks = 0;
+  sim.at_instant_end([&] { ++hooks; });  // registered outside any run
+  EXPECT_EQ(sim.run(), 0u);
+  EXPECT_EQ(hooks, 1);
+  EXPECT_EQ(sim.run(), 0u);  // one-shot
+  EXPECT_EQ(hooks, 1);
+}
+
+TEST(SimulationTest, InstantEndHookRunsBeforeAStoppedRunReturns) {
+  Simulation sim;
+  bool scheduled = false;
+  sim.schedule_at(SimTime::from_micros(10), [&] {
+    sim.at_instant_end([&] {
+      sim.schedule_at(SimTime::from_micros(40), [] {});
+      scheduled = true;
+    });
+    sim.stop();
+  });
+  sim.run();
+  EXPECT_TRUE(scheduled);
+  EXPECT_EQ(sim.now(), SimTime::from_micros(10));
+  EXPECT_EQ(sim.pending_events(), 1u);
+}
+
+TEST(SimulationTest, CancelledInstantEndHookNeverRuns) {
+  Simulation sim;
+  int hooks = 0;
+  const Simulation::HookId id = sim.at_instant_end([&] { ++hooks; });
+  sim.at_instant_end([&] { hooks += 10; });
+  sim.cancel_instant_end(id);
+  sim.run();
+  EXPECT_EQ(hooks, 10);
+  sim.cancel_instant_end(id);  // already gone: a no-op
+}
+
+TEST(SimulationTest, ReservedSeqDispatchesInTimeSeqOrder) {
+  // A seq reserved between two pushes dispatches between them at the
+  // same instant, against queue events and timer-wheel entries alike,
+  // however late it is pushed.
+  Simulation sim;
+  std::vector<std::string> order;
+  const SimTime at = SimTime::from_micros(5000);
+  sim.schedule_at(at, [&] { order.push_back("queue-0"); });
+  const std::uint64_t early = sim.take_seq();
+  sim.schedule_timer(SimDuration::micros(5000), [&] { order.push_back("wheel-2"); });
+  const std::uint64_t middle = sim.take_seq();
+  sim.schedule_at(at, [&] { order.push_back("queue-4"); });
+  sim.schedule_at(SimTime::from_micros(1000), [&] {
+    // Pushed from an earlier instant, under seqs taken at time zero.
+    sim.schedule_reserved(at, middle, [&] { order.push_back("reserved-3"); });
+    sim.schedule_reserved(at, early, [&] { order.push_back("reserved-1"); });
+  });
+  EXPECT_EQ(sim.run(), 6u);
+  EXPECT_EQ(order, (std::vector<std::string>{"queue-0", "reserved-1", "wheel-2", "reserved-3",
+                                             "queue-4"}));
 }
 
 // ---- bandwidth -------------------------------------------------------
