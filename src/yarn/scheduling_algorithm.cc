@@ -135,6 +135,8 @@ void PolicyScheduler::set_app_runtime_hint(AppId app, double seconds) {
 
 void PolicyScheduler::allocate(std::size_t index, NodeState& node, bool backfilled) {
   assert(index < queue_.size());
+  assert(queue_[index].ask.capability.fits_in(node.available()) &&
+         "policy allocated onto a node without room");
   QueuedAsk entry = std::move(queue_[index]);
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(index));
   if (NodeTable* t = table()) {
