@@ -65,6 +65,31 @@ TEST(ScenarioGenerator, SerializeParseRoundTrips) {
   }
 }
 
+TEST(ScenarioGenerator, RetiredWaterfillKeyParsesAndIsIgnored) {
+  // Reproducers written while the network had a full-scan engine may
+  // carry `incremental_rates`; they must still replay.
+  const check::FuzzScenario s = check::generate_scenario(3);
+  std::string text = check::serialize_scenario(s);
+  text.insert(text.rfind("end\n"), "incremental_rates 0\n");
+  const check::FuzzScenario parsed = check::parse_scenario(text);
+  EXPECT_EQ(check::serialize_scenario(parsed), check::serialize_scenario(s));
+}
+
+TEST(ScenarioGenerator, RetiredWaterfillDrawIsStillConsumed) {
+  // The hot-path stream draws indexed placement, the retired waterfill
+  // toggle, then fast shuffle: skipping the middle draw would change
+  // every seed's fast_shuffle.
+  for (std::uint64_t seed = 0; seed < 64; ++seed) {
+    const check::FuzzScenario s = check::generate_scenario(seed);
+    RngStream draws(seed, "fuzz.hotpaths");
+    const int placement = draws.next_double() < 0.25 ? 0 : 1;
+    draws.next_double();
+    const int shuffle = draws.next_double() < 0.25 ? 0 : 1;
+    EXPECT_EQ(s.indexed_placement, placement) << "seed " << seed;
+    EXPECT_EQ(s.fast_shuffle, shuffle) << "seed " << seed;
+  }
+}
+
 TEST(ScenarioGenerator, StreamSeedsAreWellFormed) {
   int streams = 0;
   for (std::uint64_t seed = 0; seed < 64; ++seed) {
