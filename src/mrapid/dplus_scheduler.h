@@ -34,6 +34,8 @@ struct DPlusOptions {
   bool locality_aware = true;
 };
 
+class SpreadOrder;
+
 class DPlusAlgorithm : public yarn::ISchedulingAlgorithm {
  public:
   explicit DPlusAlgorithm(DPlusOptions options) : options_(options) {}
@@ -48,10 +50,18 @@ class DPlusAlgorithm : public yarn::ISchedulingAlgorithm {
   // One pass of Algorithm 1 over the current queue; leftovers stay
   // queued for the next resource event.
   void run_algorithm(yarn::PolicyScheduler& scheduler);
-  // Which resource dimension is currently dominant cluster-wide.
-  enum class Dominant { kVcores, kMemory };
-  Dominant dominant_resource(yarn::PolicyScheduler& scheduler) const;
-  std::vector<yarn::NodeState*> sorted_nodes(yarn::PolicyScheduler& scheduler) const;
+  // One tier of the pass, balanced spread on / off.
+  void spread(yarn::PolicyScheduler& scheduler, SpreadOrder& order, cluster::Locality tier) const;
+  void pack(yarn::PolicyScheduler& scheduler, cluster::Locality tier) const;
+  // First node in spread order among `ask`'s NodeLocal / RackLocal
+  // candidates that the ask fits on and that serves `tier`.
+  yarn::NodeState* first_local(yarn::PolicyScheduler& scheduler, const SpreadOrder& order,
+                               const yarn::Ask& ask, cluster::Locality tier,
+                               std::vector<yarn::NodeState*>& candidates) const;
+  // The tier predicate both paths share: does serving `ask` on `node`
+  // count for `tier`?
+  bool serves_tier(yarn::PolicyScheduler& scheduler, const yarn::Ask& ask,
+                   const yarn::NodeState& node, cluster::Locality tier) const;
 
   DPlusOptions options_;
 };

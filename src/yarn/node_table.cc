@@ -20,6 +20,7 @@ std::int64_t leaf_mem(const NodeState& node, std::int64_t dead) {
 
 NodeState& NodeTable::add_node(const NodeState& state) {
   assert(states_.empty() || states_.back().id < state.id);  // ascending, dense-ish
+  ++mutations_;
   // Pointers into states_ are handed out (schedulable list, policy
   // passes), so growth must never relocate: reserve geometrically
   // before the push would.
@@ -171,6 +172,7 @@ NodeState* NodeTable::first_fit(Resource need, cluster::NodeId skip) {
 // ---- mutation funnel ----------------------------------------------
 
 void NodeTable::charge(NodeState& node, Resource amount) {
+  ++mutations_;
   node.used = node.used + amount;
   if (!incremental_) return;
   if (!membership_dirty_ && node.schedulable()) {
@@ -181,6 +183,7 @@ void NodeTable::charge(NodeState& node, Resource amount) {
 }
 
 void NodeTable::uncharge(NodeState& node, Resource amount) {
+  ++mutations_;
   node.used = node.used - amount;
   assert(node.used.vcores >= 0 && node.used.memory_mb >= 0);
   if (!incremental_) return;
@@ -210,6 +213,7 @@ void NodeTable::void_resources(NodeState& node) {
 
 void NodeTable::set_alive(NodeState& node, bool alive) {
   if (node.alive == alive) return;
+  ++mutations_;
   node.alive = alive;
   membership_dirty_ = true;
   if (incremental_) tree_update(static_cast<std::size_t>(&node - states_.data()));
@@ -217,6 +221,7 @@ void NodeTable::set_alive(NodeState& node, bool alive) {
 
 void NodeTable::set_blacklisted(NodeState& node, bool blacklisted) {
   if (node.blacklisted == blacklisted) return;
+  ++mutations_;
   node.blacklisted = blacklisted;
   membership_dirty_ = true;
   if (incremental_) tree_update(static_cast<std::size_t>(&node - states_.data()));

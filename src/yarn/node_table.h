@@ -98,6 +98,12 @@ class NodeTable {
   void set_blacklisted(NodeState& node, bool blacklisted);
   void record_failure(NodeState& node) { ++node.failures; }
 
+  // Bumped by every mutation that can change a scheduling answer
+  // (used, liveness, blacklisting, registration). A policy that keeps
+  // state across PolicyScheduler::allocate compares it before and
+  // after to tell its own charge from one made by re-entrant delivery.
+  std::uint64_t mutations() const { return mutations_; }
+
   struct Stats {
     std::uint64_t lookups = 0;            // find() calls
     std::uint64_t first_fit_calls = 0;
@@ -137,6 +143,7 @@ class NodeTable {
   std::size_t tree_size_ = 0;
 
   Stats stats_;
+  std::uint64_t mutations_ = 0;
 };
 
 }  // namespace mrapid::yarn

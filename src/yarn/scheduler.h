@@ -58,11 +58,9 @@ class SchedulerContext {
   virtual ~SchedulerContext() = default;
   virtual std::vector<NodeState>& nodes() = 0;
   virtual NodeState* node_state(cluster::NodeId id) = 0;
-  // The RM's incremental node bookkeeping (yarn/node_table.h), or null
-  // for bare test contexts. When present, ALL node mutations must go
-  // through it; PolicyScheduler falls back to direct mutation and full
-  // scans when absent.
-  virtual NodeTable* node_table() { return nullptr; }
+  // The RM's incremental node bookkeeping (yarn/node_table.h); never
+  // null. ALL node mutations go through it.
+  virtual NodeTable* node_table() = 0;
   virtual const cluster::Topology& topology() const = 0;
   virtual ContainerId next_container_id() = 0;
   // Hands a satisfied ask to the RM, which buffers it for (or, for an
