@@ -105,6 +105,13 @@ echo "=== [release] sim_core bench ==="
 build-release/bench/mrapid_bench --filter sim_core --smoke \
   --json build-release/BENCH_simcore.json > /dev/null
 
+echo "=== [release] perfbench self-test ==="
+# The end-to-end benchmark's own tests (perfbench/README.md). They
+# build perfbench_driver against src/ (into .bench_build/, about 5 s
+# warm), so a change to an API the benchmark reads, such as
+# NodeTable::stats(), fails CI rather than the next benchmark run.
+python3 perfbench/test_perfbench.py
+
 echo "=== [release] determinism gate ==="
 # Golden traces and fuzzer reproducers live in the source tree and are
 # only ever rewritten under GOLDEN_UPDATE=1 / --shrink, which CI never

@@ -150,11 +150,13 @@ NodeState* DPlusAlgorithm::first_local(PolicyScheduler& scheduler, const SpreadO
     for (cluster::NodeId id : ask.preferred_nodes) consider(id);
   } else {
     const cluster::Topology& topology = scheduler.context().topology();
-    std::vector<cluster::RackId> racks;
-    for (cluster::NodeId id : ask.preferred_nodes) {
-      const cluster::RackId rack = topology.rack_of(id);
-      if (std::find(racks.begin(), racks.end(), rack) != racks.end()) continue;
-      racks.push_back(rack);
+    const auto& preferred = ask.preferred_nodes;
+    for (auto it = preferred.begin(); it != preferred.end(); ++it) {
+      const cluster::RackId rack = topology.rack_of(*it);
+      const bool seen = std::any_of(preferred.begin(), it, [&](cluster::NodeId earlier) {
+        return topology.rack_of(earlier) == rack;
+      });
+      if (seen) continue;
       for (cluster::NodeId member : topology.nodes_in_rack(rack)) consider(member);
     }
   }
