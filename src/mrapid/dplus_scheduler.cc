@@ -86,13 +86,6 @@ class SpreadOrder {
     return a->id < b->id;                      // deterministic tie-break
   }
 
-  // False when not even the head of the order has enough of the
-  // dominant dimension for `need`: then no node fits it.
-  bool may_fit(Resource need) const {
-    return !order_.empty() &&
-           amount(order_.front()->available(), dominant_) >= amount(need, dominant_);
-  }
-
   // The schedulable state of `id`, or null — without a NodeTable lookup.
   NodeState* schedulable(cluster::NodeId id) const {
     const auto index = static_cast<std::size_t>(id);
@@ -136,7 +129,6 @@ bool DPlusAlgorithm::serves_tier(PolicyScheduler& scheduler, const Ask& ask,
 NodeState* DPlusAlgorithm::first_local(PolicyScheduler& scheduler, const SpreadOrder& order,
                                        const Ask& ask, Locality tier,
                                        std::vector<NodeState*>& candidates) const {
-  if (!order.may_fit(ask.capability)) return nullptr;
   // Candidates: a NodeLocal node is a replica holder and a RackLocal
   // one shares a rack with one. serves_tier() stays the exact check,
   // so the dead and blacklisted replica rules live in judge_locality
