@@ -56,7 +56,6 @@ struct NodeState {
 class SchedulerContext {
  public:
   virtual ~SchedulerContext() = default;
-  virtual std::vector<NodeState>& nodes() = 0;
   virtual NodeState* node_state(cluster::NodeId id) = 0;
   // The RM's incremental node bookkeeping (yarn/node_table.h); never
   // null. ALL node mutations go through it.

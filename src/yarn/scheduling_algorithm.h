@@ -129,7 +129,7 @@ class PolicyScheduler : public Scheduler {
   // Schedulable nodes in ascending id order (the deterministic
   // iteration order every policy shares), served from the NodeTable's
   // cached list (rebuilt only on membership flips). Pointers stay
-  // valid until the next membership flip.
+  // valid for the duration of one schedule() pass.
   const std::vector<NodeState*>& schedulable_nodes();
   // Lowest-id schedulable node fitting `need`, skipping at most one
   // node — exactly the front-to-back scan every FIFO-prefix policy

@@ -150,7 +150,6 @@ class DiffContext : public yarn::SchedulerContext {
  public:
   explicit DiffContext(std::vector<std::vector<cluster::NodeId>> racks) : topology_(racks) {}
 
-  std::vector<NodeState>& nodes() override { return table_.states(); }
   NodeState* node_state(cluster::NodeId id) override { return table_.find(id); }
   yarn::NodeTable* node_table() override { return &table_; }
   const cluster::Topology& topology() const override { return topology_; }

@@ -49,7 +49,6 @@ class FakeContext : public yarn::SchedulerContext {
     }
   }
 
-  std::vector<yarn::NodeState>& nodes() override { return table_.states(); }
   yarn::NodeState* node_state(cluster::NodeId id) override { return table_.find(id); }
   yarn::NodeTable* node_table() override { return &table_; }
   const cluster::Topology& topology() const override { return topology_; }
