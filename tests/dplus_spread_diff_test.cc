@@ -175,8 +175,9 @@ class DiffContext : public yarn::SchedulerContext {
   yarn::ContainerId next_id_ = 1;
 };
 
-// A Azure-like capacity mix: a2 and a3 nodes differ in their vcore to
-// memory ratio, so the dominant dimension can flip mid-pass.
+// Capacity shapes with different vcore-to-memory ratios (a2- and
+// a3-like, and a vcore-heavy one), so the dominant dimension can flip
+// mid-pass.
 yarn::Resource random_capacity(RngStream& rng) {
   switch (rng.next_int(0, 2)) {
     case 0: return {2, 3584};
@@ -237,11 +238,13 @@ struct Scenario {
       }
     }
 
+    std::unique_ptr<yarn::ISchedulingAlgorithm> algorithm;
     if (reference) {
-      run.sched = std::make_unique<PolicyScheduler>(std::make_unique<ReferenceDPlus>(options));
+      algorithm = std::make_unique<ReferenceDPlus>(options);
     } else {
-      run.sched = std::make_unique<PolicyScheduler>(std::make_unique<core::DPlusAlgorithm>(options));
+      algorithm = std::make_unique<core::DPlusAlgorithm>(options);
     }
+    run.sched = std::make_unique<PolicyScheduler>(std::move(algorithm));
     PolicyScheduler& sched = *run.sched;
     sched.bind(&ctx);
 
@@ -259,7 +262,8 @@ struct Scenario {
           ask.capability = random_capability(r);
           const int replicas = static_cast<int>(r.next_int(0, 3));
           for (int j = 0; j < replicas; ++j) {
-            ask.preferred_nodes.push_back(static_cast<cluster::NodeId>(r.next_int(0, next_id - 1)));
+            const auto holder = static_cast<cluster::NodeId>(r.next_int(0, next_id - 1));
+            ask.preferred_nodes.push_back(holder);
           }
         }
         asks.push_back(std::move(ask));
@@ -293,7 +297,8 @@ struct Scenario {
           sched.cancel_asks(allocation.container.app == 1 ? 2 : 1);
           break;
         default:
-          sched.on_container_request(make_asks(hook_rng, static_cast<int>(hook_rng.next_int(1, 3))));
+          sched.on_container_request(
+              make_asks(hook_rng, static_cast<int>(hook_rng.next_int(1, 3))));
           break;
       }
       --depth;
@@ -316,6 +321,7 @@ struct Scenario {
       sched.on_node_update(node.id);
       note_queue();
     }
+    ctx.on_deliver = nullptr;  // it refers to this frame
     return run;
   }
 };
