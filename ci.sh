@@ -71,9 +71,9 @@ run_config() {
     --json /tmp/smoke_simcore.json > /dev/null
   echo "=== [$name] figure --jobs identity ==="
   # Every SweepRunner thread maps through the one process-wide outcome
-  # cache (src/workloads/outcome_cache.h). The WordCount and TeraSort
-  # figure tables must not depend on how many threads filled it.
-  for fig in fig7 fig10; do
+  # cache (src/workloads/outcome_cache.h). The WordCount, TeraSort and
+  # PI figure tables must not depend on how many threads filled it.
+  for fig in fig7 fig10 fig11; do
     "$dir/bench/mrapid_bench" --filter "$fig" --smoke --jobs 1 > "/tmp/${name}_${fig}_jobs1.txt"
     "$dir/bench/mrapid_bench" --filter "$fig" --smoke --jobs 4 > "/tmp/${name}_${fig}_jobs4.txt"
     cmp "/tmp/${name}_${fig}_jobs1.txt" "/tmp/${name}_${fig}_jobs4.txt"

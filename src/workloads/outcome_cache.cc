@@ -14,6 +14,15 @@ std::size_t OutcomeCache::KeyHash::operator()(const OutcomeKey& key) const {
   return static_cast<std::size_t>(hash.value());
 }
 
+// libstdc++ layouts: recency node (two links, key); map node (next
+// pointer, key and Entry, cached hash) and its bucket slot; control
+// block (vtable pointer, use and weak counts); one allocator header for
+// each of those three allocations.
+const std::size_t OutcomeCache::kEntryBytes =
+    (2 * sizeof(void*) + sizeof(OutcomeKey)) +
+    (sizeof(void*) + sizeof(std::pair<const OutcomeKey, Entry>) + sizeof(std::size_t)) +
+    sizeof(void*) + 2 * sizeof(void*) + 3 * sizeof(void*);
+
 OutcomeCache& OutcomeCache::shared() {
   static OutcomeCache cache(kBudgetBytes);
   return cache;
@@ -52,14 +61,15 @@ std::shared_ptr<const void> OutcomeCache::get_or_compute(const OutcomeKey& key,
 }
 
 void OutcomeCache::retain(const OutcomeKey& key, Value value) {
-  if (value.bytes > budget_) return;
-  while (resident_ + value.bytes > budget_) {
+  const std::size_t charge = value.bytes + kEntryBytes;
+  if (charge > budget_) return;
+  while (resident_ + charge > budget_) {
     const auto victim = entries_.find(recency_.back());
-    resident_ -= victim->second.value.bytes;
+    resident_ -= victim->second.value.bytes + kEntryBytes;
     entries_.erase(victim);
     recency_.pop_back();
   }
-  resident_ += value.bytes;
+  resident_ += charge;
   recency_.push_front(key);
   entries_.emplace(key, Entry{std::move(value), recency_.begin()});
 }

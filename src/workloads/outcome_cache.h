@@ -31,6 +31,7 @@ enum class OutcomeKind : std::uint8_t {
   kWordCountSplit,      // (seed, vocabulary, zipf_s, file, bytes_per_file, offset, length)
   kTeraSortRun,         // (seed, rows, offset, length)
   kTeraSortBoundaries,  // (seed, rows, reducers)
+  kPiHaltonRange,       // (begin, evaluated)
 };
 
 // The exact identity of a cached value. Doubles enter by bit pattern.
@@ -55,6 +56,12 @@ class OutcomeCache {
     std::size_t bytes = 0;  // heap the value holds, as estimated by its producer
   };
 
+  // Heap the cache itself spends on each entry (its recency-list and
+  // map nodes, bucket slot and the value's shared_ptr control block),
+  // charged on top of the producer's estimate so that a budget cannot
+  // admit millions of 8-byte values.
+  static const std::size_t kEntryBytes;
+
   explicit OutcomeCache(std::size_t budget_bytes) : budget_(budget_bytes) {}
 
   // The process-wide cache every workload uses, with kBudgetBytes.
@@ -65,7 +72,8 @@ class OutcomeCache {
   // another thread is computing waits for that result instead of
   // computing it again. A value larger than the whole budget is
   // returned but not retained; otherwise least recently used values
-  // are evicted until resident bytes fit the budget. `compute` runs
+  // are evicted until resident bytes fit the budget. A value is charged
+  // its producer's estimate plus kEntryBytes. `compute` runs
   // without the cache's lock held; if it throws, nothing is cached and
   // every caller waiting on it sees the exception.
   std::shared_ptr<const void> get_or_compute(const OutcomeKey& key,

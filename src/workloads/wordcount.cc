@@ -27,6 +27,15 @@ std::size_t heap_bytes(const WordCounts& counts) {
   return bytes;
 }
 
+// A split's cached map outcome: its counts, and the totals every map
+// call derives its sizes from, computed once when the split is mapped.
+struct SplitCounts {
+  WordCounts counts;
+  std::int64_t tokens = 0;
+  Bytes combined_bytes = 0;  // serialized (word, count) pairs
+  Bytes raw_bytes = 0;       // serialized (word, 1) pairs, one per token
+};
+
 // Input directories are derived from the workload shape so distinct
 // WordCount instances sharing one HDFS never collide.
 std::string input_dir(const WordCountParams& params) {
@@ -116,8 +125,7 @@ void tokenize_into(std::string_view text, WordCounts& counts) {
   counter.flush_into(counts);
 }
 
-WordCount::WordCount(WordCountParams params)
-    : params_(params), generator_(params.seed, params.vocabulary, params.zipf_s) {
+WordCount::WordCount(WordCountParams params) : params_(params) {
   content_cache_.resize(params_.num_files);
 }
 
@@ -125,7 +133,8 @@ const std::string& WordCount::file_content(std::size_t file_index) const {
   assert(file_index < content_cache_.size());
   std::string& cached = content_cache_[file_index];
   if (cached.empty() && params_.bytes_per_file > 0) {
-    cached = generator_.generate(params_.bytes_per_file, file_index);
+    if (!generator_) generator_.emplace(params_.seed, params_.vocabulary, params_.zipf_s);
+    cached = generator_->generate(params_.bytes_per_file, file_index);
   }
   return cached;
 }
@@ -162,37 +171,33 @@ mr::MapOutcome WordCount::execute_map(const mr::InputSplit& split) const {
                         file_index, static_cast<std::uint64_t>(params_.bytes_per_file),
                         static_cast<std::uint64_t>(split.offset),
                         static_cast<std::uint64_t>(split.length)}};
-  const auto counts = std::static_pointer_cast<const WordCounts>(
+  const auto entry = std::static_pointer_cast<const SplitCounts>(
       OutcomeCache::shared().get_or_compute(key, [&] {
         const std::string& content = file_content(file_index);
         const auto offset = static_cast<std::size_t>(split.offset);
         const auto length = static_cast<std::size_t>(split.length);
         assert(offset + length <= content.size() + 1);
-        auto value = std::make_shared<WordCounts>();
-        tokenize_into(std::string_view(content).substr(offset, length), *value);
-        return OutcomeCache::Value{value, heap_bytes(*value)};
+        auto value = std::make_shared<SplitCounts>();
+        tokenize_into(std::string_view(content).substr(offset, length), value->counts);
+        value->combined_bytes = serialized_size(value->counts);
+        for (const auto& [word, count] : value->counts) {
+          value->tokens += count;
+          value->raw_bytes += count * (static_cast<Bytes>(word.size()) + kPairOverhead);
+        }
+        return OutcomeCache::Value{value, heap_bytes(value->counts)};
       }));
 
   mr::MapOutcome outcome;
-  std::int64_t tokens = 0;
-  for (const auto& [word, count] : *counts) {
-    (void)word;
-    tokens += count;
-  }
   if (params_.use_combiner) {
-    outcome.output_bytes = serialized_size(*counts);
-    outcome.output_records = static_cast<std::int64_t>(counts->size());
+    outcome.output_bytes = entry->combined_bytes;
+    outcome.output_records = static_cast<std::int64_t>(entry->counts.size());
   } else {
     // Raw (word, 1) pairs: one record per token.
-    Bytes raw = 0;
-    for (const auto& [word, count] : *counts) {
-      raw += count * (static_cast<Bytes>(word.size()) + kPairOverhead);
-    }
-    outcome.output_bytes = raw;
-    outcome.output_records = tokens;
+    outcome.output_bytes = entry->raw_bytes;
+    outcome.output_records = entry->tokens;
   }
   outcome.core_seconds = params_.map_throughput.seconds_for(split.length);
-  outcome.data = counts;
+  outcome.data = std::shared_ptr<const WordCounts>(entry, &entry->counts);
   return outcome;
 }
 
@@ -246,14 +251,31 @@ std::uint64_t WordCount::result_digest(const mr::JobResult& result) const {
       continue;
     }
     const auto& counts = *std::static_pointer_cast<const WordCounts>(erased);
-    std::vector<std::pair<std::string_view, std::int64_t>> sorted;
+    // A word's first 8 bytes, big-endian and zero-padded, order words as
+    // a full compare does (bytes unsigned, a word that ends first sorts
+    // first), so only words whose prefixes tie are compared in full.
+    // Words are unique within a partition, so counts never break ties.
+    struct KeyedWord {
+      std::uint64_t prefix;
+      std::string_view word;
+      std::int64_t count;
+    };
+    std::vector<KeyedWord> sorted;
     sorted.reserve(counts.size());
-    for (const auto& [word, count] : counts) sorted.emplace_back(word, count);
-    std::sort(sorted.begin(), sorted.end());
+    for (const auto& [word, count] : counts) {
+      std::uint64_t prefix = 0;
+      for (std::size_t i = 0; i < 8; ++i) {
+        prefix = prefix << 8 | (i < word.size() ? static_cast<unsigned char>(word[i]) : 0u);
+      }
+      sorted.push_back({prefix, word, count});
+    }
+    std::sort(sorted.begin(), sorted.end(), [](const KeyedWord& a, const KeyedWord& b) {
+      return a.prefix != b.prefix ? a.prefix < b.prefix : a.word < b.word;
+    });
     digest.mix(static_cast<std::uint64_t>(sorted.size()));
-    for (const auto& [word, count] : sorted) {
-      digest.mix(word);
-      digest.mix(count);
+    for (const KeyedWord& keyed : sorted) {
+      digest.mix(keyed.word);
+      digest.mix(keyed.count);
     }
   }
   return digest.value();

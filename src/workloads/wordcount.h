@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -75,10 +76,11 @@ class WordCount : public Workload {
   static Bytes serialized_size(const WordCounts& counts);
 
   WordCountParams params_;
-  TextGenerator generator_;
-  // Lazily generated, per file. Generated only when a split misses the
-  // outcome cache (or for reference_counts()), so instances whose
-  // splits another instance already mapped never build a corpus.
+  // The generator (its vocabulary) and each file's text are built on
+  // first use: only when a split misses the outcome cache (or for
+  // reference_counts()), so instances whose splits another instance
+  // already mapped build neither.
+  mutable std::optional<TextGenerator> generator_;
   mutable std::vector<std::string> content_cache_;
 };
 

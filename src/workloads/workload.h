@@ -6,7 +6,7 @@
 // workload object is simulation-independent: an instance can be staged
 // into a fresh HDFS for every mode/run of an experiment. Map outputs
 // are pure functions of the workload's parameters and the split, so
-// WordCount and TeraSort keep them in the process-wide OutcomeCache
+// WordCount, TeraSort and PI keep them in the process-wide OutcomeCache
 // (workloads/outcome_cache.h): every instance with the same parameters,
 // in any mode, trial or SweepRunner thread, shares one copy. Raw input
 // (a generated corpus, TeraGen rows) stays per instance and is built

@@ -1,10 +1,13 @@
 // Tests for the process-wide map-outcome cache (src/workloads/
 // outcome_cache.h): hits share the first call's value, keys that differ
 // in any field never share an entry, resident bytes respect the budget,
-// and concurrent callers compute each key once and agree on the result.
+// concurrent callers compute each key once and agree on the result, and
+// workloads reading through the cache get the values a direct
+// computation gives.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "workloads/outcome_cache.h"
+#include "workloads/pi.h"
 #include "workloads/terasort.h"
 #include "workloads/wordcount.h"
 
@@ -42,7 +46,7 @@ TEST(OutcomeCache, HitReturnsTheFirstCallsPointer) {
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(calls.load(), 1);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.resident_bytes(), 100u);
+  EXPECT_EQ(cache.resident_bytes(), 100u + OutcomeCache::kEntryBytes);
 }
 
 TEST(OutcomeCache, KeysDifferingInAnyFieldOrKindNeverShare) {
@@ -72,11 +76,13 @@ TEST(OutcomeCache, KeysDifferingInAnyFieldOrKindNeverShare) {
 }
 
 TEST(OutcomeCache, ResidentBytesStayWithinTheBudget) {
-  OutcomeCache cache(1000);
+  // Room for three 300-byte values and their bookkeeping, not four.
+  const std::size_t budget = 3 * (300 + OutcomeCache::kEntryBytes) + 100;
+  OutcomeCache cache(budget);
   std::atomic<int> calls{0};
   for (std::uint64_t id = 0; id < 10; ++id) {
     cache.get_or_compute(key_of(id), counting(calls, 300));
-    EXPECT_LE(cache.resident_bytes(), 1000u);
+    EXPECT_LE(cache.resident_bytes(), budget);
   }
   EXPECT_EQ(cache.size(), 3u);  // the three most recent: 7, 8, 9
 
@@ -89,20 +95,34 @@ TEST(OutcomeCache, ResidentBytesStayWithinTheBudget) {
   EXPECT_EQ(calls.load(), before);
   cache.get_or_compute(key_of(8), counting(calls, 300));
   EXPECT_EQ(calls.load(), before + 1);
-  EXPECT_LE(cache.resident_bytes(), 1000u);
+  EXPECT_LE(cache.resident_bytes(), budget);
 }
 
 TEST(OutcomeCache, OverBudgetValueIsReturnedButNotRetained) {
-  OutcomeCache cache(1000);
+  // 1001 bytes plus bookkeeping is one byte more than the whole budget.
+  OutcomeCache cache(1000 + OutcomeCache::kEntryBytes);
   std::atomic<int> calls{0};
   cache.get_or_compute(key_of(1), counting(calls, 400));
   const auto big = cache.get_or_compute(key_of(2), counting(calls, 1001, 42));
   ASSERT_NE(big, nullptr);
   EXPECT_EQ(*static_cast<const int*>(big.get()), 42);
   EXPECT_EQ(cache.size(), 1u);  // the small value was not evicted for it
-  EXPECT_EQ(cache.resident_bytes(), 400u);
+  EXPECT_EQ(cache.resident_bytes(), 400u + OutcomeCache::kEntryBytes);
   cache.get_or_compute(key_of(2), counting(calls, 1001, 42));
   EXPECT_EQ(calls.load(), 3);
+}
+
+TEST(OutcomeCache, TinyValuesAreChargedTheirBookkeeping) {
+  // Each entry holds two copies of the key besides its value.
+  EXPECT_GE(OutcomeCache::kEntryBytes, 2 * sizeof(OutcomeKey));
+  // An 8-byte value charged only its own size would let all 10,000 fit.
+  constexpr std::size_t kBudget = 64 * 1024;
+  OutcomeCache cache(kBudget);
+  std::atomic<int> calls{0};
+  for (std::uint64_t id = 0; id < 10000; ++id) cache.get_or_compute(key_of(id), counting(calls, 8));
+  EXPECT_LE(cache.size(), kBudget / OutcomeCache::kEntryBytes);
+  EXPECT_EQ(cache.size(), kBudget / (8 + OutcomeCache::kEntryBytes));
+  EXPECT_EQ(cache.resident_bytes(), cache.size() * (8 + OutcomeCache::kEntryBytes));
 }
 
 TEST(OutcomeCache, ThrowingComputeCachesNothing) {
@@ -231,6 +251,116 @@ TEST(OutcomeCacheWorkloads, WordCountParamsDifferingInAnyKeyFieldNeverShare) {
   differs(p, 0, 0, 8_KB);
   differs(base, 0, 4_KB, 8_KB);  // offset
   differs(base, 0, 0, 4_KB);     // length
+}
+
+TEST(OutcomeCacheWorkloads, WordCountSizesOnAHitMatchTheCounts) {
+  WordCountParams params;
+  params.num_files = 1;
+  params.bytes_per_file = 24_KB;
+  params.seed = 0xCAC4E3;
+  const auto split = wordcount_split(params, 0, 0, params.bytes_per_file);
+  const void* first = WordCount(params).execute_map(split).data.get();
+  for (const bool combiner : {true, false}) {
+    WordCountParams p = params;
+    p.use_combiner = combiner;
+    const mr::MapOutcome hit = WordCount(p).execute_map(split);
+    ASSERT_EQ(hit.data.get(), first);
+    // Recomputed from the counts: (word, count) pairs with the combiner,
+    // one (word, 1) pair per token without; word bytes + 9 per pair.
+    Bytes bytes = 0;
+    std::int64_t records = 0;
+    for (const auto& [word, count] : *std::static_pointer_cast<const WordCounts>(hit.data)) {
+      const std::int64_t pairs = combiner ? 1 : count;
+      bytes += pairs * (static_cast<Bytes>(word.size()) + 9);
+      records += pairs;
+    }
+    EXPECT_EQ(hit.output_bytes, bytes) << "combiner " << combiner;
+    EXPECT_EQ(hit.output_records, records) << "combiner " << combiner;
+  }
+}
+
+// The inside count and total a map of `params` must report, from an
+// independent Halton loop over the map's range.
+PiResult direct_halton(const PiParams& params, std::int64_t map) {
+  const auto radical_inverse = [](std::int64_t index, int base) {
+    double value = 0.0;
+    for (double f = 1.0 / base; index > 0; index /= base, f /= base) {
+      value += f * static_cast<double>(index % base);
+    }
+    return value;
+  };
+  const std::int64_t per_map = (params.total_samples + params.num_maps - 1) / params.num_maps;
+  const std::int64_t begin = map * per_map;
+  const std::int64_t samples = std::min(per_map, params.total_samples - begin);
+  const std::int64_t evaluated = std::min(samples, params.fidelity_cap);
+  std::int64_t inside = 0;
+  for (std::int64_t i = begin; i < begin + evaluated; ++i) {
+    const double x = radical_inverse(i, 2) - 0.5;
+    const double y = radical_inverse(i, 3) - 0.5;
+    if (x * x + y * y <= 0.25) ++inside;
+  }
+  PiResult result;
+  result.total = samples;
+  result.inside = evaluated == samples ? inside : (inside * samples + evaluated / 2) / evaluated;
+  return result;
+}
+
+mr::InputSplit pi_split(std::int64_t map) {
+  mr::InputSplit split;
+  split.index_in_job = static_cast<std::size_t>(map);
+  return split;
+}
+
+TEST(OutcomeCacheWorkloads, PiCountsMatchADirectHaltonLoop) {
+  struct Shape {
+    std::int64_t total_samples;
+    int num_maps;
+    std::int64_t fidelity_cap;
+  };
+  // Cap hit (and a shorter last map), cap not hit, shorter last map.
+  for (const Shape shape : {Shape{10001, 3, 1000}, Shape{2000, 4, 1000}, Shape{1001, 4, 1000}}) {
+    PiParams params;
+    params.total_samples = shape.total_samples;
+    params.num_maps = shape.num_maps;
+    params.fidelity_cap = shape.fidelity_cap;
+    // The first instance misses, the second hits.
+    const Pi a(params), b(params);
+    for (std::int64_t m = 0; m < shape.num_maps; ++m) {
+      const PiResult expected = direct_halton(params, m);
+      for (const Pi* pi : {&a, &b}) {
+        const mr::MapOutcome outcome = pi->execute_map(pi_split(m));
+        const auto& got = *std::static_pointer_cast<const PiResult>(outcome.data);
+        EXPECT_EQ(got.inside, expected.inside) << shape.total_samples << " map " << m;
+        EXPECT_EQ(got.total, expected.total) << shape.total_samples << " map " << m;
+        EXPECT_DOUBLE_EQ(outcome.core_seconds,
+                         static_cast<double>(expected.total) / params.samples_per_core_second);
+      }
+    }
+  }
+}
+
+TEST(OutcomeCacheWorkloads, PiShapesSharingARangeComputeItOnce) {
+  // 3 and 4 maps of 7919 samples: map 1 of each covers [7919, 15838).
+  PiParams three;
+  three.total_samples = 3 * 7919;
+  three.num_maps = 3;
+  PiParams four = three;
+  four.total_samples = 4 * 7919;
+  four.num_maps = 4;
+  OutcomeCache& cache = OutcomeCache::shared();
+  const std::size_t before = cache.size();
+  const mr::MapOutcome first = Pi(three).execute_map(pi_split(1));
+  EXPECT_EQ(cache.size(), before + 1);
+  const mr::MapOutcome shared = Pi(four).execute_map(pi_split(1));
+  EXPECT_EQ(cache.size(), before + 1);
+  EXPECT_EQ(std::static_pointer_cast<const PiResult>(shared.data)->inside,
+            std::static_pointer_cast<const PiResult>(first.data)->inside);
+
+  // A cap that shortens the evaluated range is a different range.
+  PiParams capped = three;
+  capped.fidelity_cap = 5000;
+  Pi(capped).execute_map(pi_split(1));
+  EXPECT_EQ(cache.size(), before + 2);
 }
 
 TEST(OutcomeCacheWorkloads, TeraSortRunsAndBoundariesAreShared) {

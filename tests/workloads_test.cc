@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -233,6 +235,72 @@ TEST(WordCountLogic, CoreSecondsScaleWithInput) {
   // core-seconds = split bytes / configured map throughput.
   EXPECT_NEAR(outcome.core_seconds,
               params.map_throughput.seconds_for(split.length), 1e-9);
+}
+
+// WordCount::result_digest as it was before it sorted by an 8-byte
+// prefix, kept verbatim as the reference model: sort (word, count)
+// pairs, fold them in order.
+std::uint64_t pair_sort_digest(const mr::JobResult& result) {
+  Fnv64 digest;
+  digest.mix(static_cast<std::uint64_t>(result.reduce_results.size()));
+  for (const auto& erased : result.reduce_results) {
+    if (!erased) {
+      digest.mix(std::string_view("<null partition>"));
+      continue;
+    }
+    const auto& counts = *std::static_pointer_cast<const WordCounts>(erased);
+    std::vector<std::pair<std::string_view, std::int64_t>> sorted;
+    sorted.reserve(counts.size());
+    for (const auto& [word, count] : counts) sorted.emplace_back(word, count);
+    std::sort(sorted.begin(), sorted.end());
+    digest.mix(static_cast<std::uint64_t>(sorted.size()));
+    for (const auto& [word, count] : sorted) {
+      digest.mix(word);
+      digest.mix(count);
+    }
+  }
+  return digest.value();
+}
+
+TEST(WordCountLogic, DigestMatchesThePairSortReference) {
+  const WordCount wc(WordCountParams{});
+  RngStream rng(0xD16E57);
+  // Stems of 8 and more bytes make words whose sort prefixes tie; one
+  // holds bytes >= 0x80 and one a NUL, which the zero padding must not
+  // confuse with a word's end.
+  const std::vector<std::string> stems{"",
+                                       "abcdefgh",
+                                       "abcdefghij",
+                                       std::string("abc\0efgh", 8),
+                                       "\xff\x80zzzzzz",
+                                       std::string("\x7f\x80\x81\xfe\xff\0\x01\x02", 8)};
+  const auto random_word = [&] {
+    std::string word = stems[static_cast<std::size_t>(
+        rng.next_int(0, static_cast<std::int64_t>(stems.size()) - 1))];
+    // 1-7 bytes alone, or a suffix after a stem; bytes over all of 0..255.
+    const std::int64_t extra = rng.next_int(word.empty() ? 1 : 0, 7);
+    for (std::int64_t i = 0; i < extra; ++i) {
+      word.push_back(static_cast<char>(rng.next_int(0, 3) == 0 ? rng.next_int(0x80, 0xff)
+                                                               : rng.next_int(0, 0xff)));
+    }
+    return word;
+  };
+  for (int trial = 0; trial < 300; ++trial) {
+    mr::JobResult result;
+    const std::int64_t partitions = rng.next_int(1, 5);
+    for (std::int64_t p = 0; p < partitions; ++p) {
+      const std::int64_t kind = rng.next_int(0, 9);
+      if (kind == 0) {
+        result.reduce_results.push_back(nullptr);
+        continue;
+      }
+      auto counts = std::make_shared<WordCounts>();
+      const std::int64_t words = kind == 1 ? 0 : rng.next_int(1, 200);
+      for (std::int64_t w = 0; w < words; ++w) (*counts)[random_word()] += rng.next_int(1, 1000);
+      result.reduce_results.push_back(counts);
+    }
+    EXPECT_EQ(wc.result_digest(result), pair_sort_digest(result)) << "trial " << trial;
+  }
 }
 
 // Parameterized sweep: correctness must hold across file counts/sizes.
