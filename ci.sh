@@ -2,8 +2,8 @@
 # CI entry point: builds and tests the simulator in two configurations —
 #
 #   1. Release      (assertions kept; what benches and users run)
-#   2. ASan+UBSan   (-DMRAPID_SANITIZE=ON, catches memory and UB bugs
-#                    the deterministic tests alone cannot)
+#   2. ASan+UBSan   (-DMRAPID_SANITIZE=ON, catches memory errors, leaks
+#                    and UB the deterministic tests alone cannot)
 #
 # Usage: ./ci.sh [extra ctest args, e.g. -R Golden]
 #
@@ -14,12 +14,6 @@ cd "$(dirname "$0")"
 
 CTEST_ARGS=("$@")
 JOBS="$(nproc 2>/dev/null || sysctl -n hw.ncpu 2>/dev/null || echo 4)"
-
-# Leak detection is off: the harness deliberately keeps AMs and worlds
-# alive until process exit (shared_ptr teardown design), which LSan
-# reports as leaks in every test binary. ASan's memory-error detection
-# (use-after-free, overflows) and UBSan stay fully enabled.
-export ASAN_OPTIONS="detect_leaks=0:${ASAN_OPTIONS:-}"
 
 # Golden traces must never be rewritten by CI, only compared.
 unset GOLDEN_UPDATE

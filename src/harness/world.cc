@@ -141,10 +141,9 @@ std::optional<mr::JobResult> World::run(wl::Workload& workload,
       framework_->submit(spec, on_complete);
       break;
     case RunMode::kSpark: {
-      auto app = std::make_shared<spark::SparkApp>(*cluster_, *hdfs_, *rm_, config_.mr,
-                                                   config_.spark, spec, on_complete);
-      spark_apps_.push_back(app);
-      app->submit();
+      spark_apps_.push_back(std::make_unique<spark::SparkApp>(*cluster_, *hdfs_, *rm_, config_.mr,
+                                                              config_.spark, spec, on_complete));
+      spark_apps_.back()->submit();
       break;
     }
   }

@@ -116,6 +116,9 @@ class World {
   mr::ShuffleStats shuffle_stats_;  // config_.mr.shuffle_stats default sink
   RunMode mode_;
   std::optional<std::optional<LogLevel>> saved_log_threshold_;  // set when config.log_level is
+  // Declared in dependency order and destroyed in reverse: Spark apps,
+  // injector, framework, client (and every AM), RM, HDFS, cluster, and
+  // the simulation last, which drops its pending closures unfired.
   std::unique_ptr<sim::Simulation> sim_;
   std::unique_ptr<cluster::Cluster> cluster_;
   std::unique_ptr<hdfs::Hdfs> hdfs_;
@@ -123,7 +126,7 @@ class World {
   std::unique_ptr<mr::JobClient> client_;
   std::unique_ptr<core::MRapidFramework> framework_;
   std::unique_ptr<FaultInjector> injector_;
-  std::vector<std::shared_ptr<spark::SparkApp>> spark_apps_;  // keep alive
+  std::vector<std::unique_ptr<spark::SparkApp>> spark_apps_;
   bool booted_ = false;
 };
 

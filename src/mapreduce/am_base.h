@@ -5,9 +5,9 @@
 // scheduler — baseline Hadoop and MRapid D+) and the Uber AM (all
 // tasks inside the AM container — baseline Uber and MRapid U+).
 //
-// Lifetime: AMs are owned by shared_ptr and kept alive until the
-// simulation is torn down, so callbacks holding `this` stay valid even
-// after kill(); cancellation is the cooperative `killed` flag threaded
+// Lifetime: the JobClient that builds an AM owns it until the client
+// is destroyed, so callbacks holding `this` stay valid even after
+// kill(); cancellation is the cooperative `killed` flag threaded
 // through TaskEnv.
 
 #include <functional>

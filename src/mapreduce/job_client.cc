@@ -31,20 +31,18 @@ JobSpec with_mode_defaults(JobSpec spec, ExecutionMode mode) {
   return spec;
 }
 
-std::shared_ptr<AmBase> JobClient::make_app_master(const JobSpec& spec, ExecutionMode mode,
-                                                   AmBase::CompletionCallback on_complete) {
+AmBase& JobClient::make_app_master(const JobSpec& spec, ExecutionMode mode,
+                                   AmBase::CompletionCallback on_complete) {
   assert(mode != ExecutionMode::kSparkLite && "SparkLite jobs go through spark::SparkApp");
   const JobSpec adjusted = with_mode_defaults(spec, mode);
-  std::shared_ptr<AmBase> am;
   if (mode == ExecutionMode::kHadoopUber || mode == ExecutionMode::kUPlus) {
-    am = std::make_shared<UberAppMaster>(cluster_, hdfs_, rm_, config_, adjusted, mode,
-                                         std::move(on_complete));
+    ams_.push_back(std::make_unique<UberAppMaster>(cluster_, hdfs_, rm_, config_, adjusted, mode,
+                                                   std::move(on_complete)));
   } else {
-    am = std::make_shared<MRAppMaster>(cluster_, hdfs_, rm_, config_, adjusted, mode,
-                                       std::move(on_complete));
+    ams_.push_back(std::make_unique<MRAppMaster>(cluster_, hdfs_, rm_, config_, adjusted, mode,
+                                                 std::move(on_complete)));
   }
-  retained_.push_back(am);
-  return am;
+  return *ams_.back();
 }
 
 void JobClient::upload_job_files(const std::string& staging_dir, cluster::NodeId writer,
@@ -58,100 +56,89 @@ void JobClient::upload_job_files(const std::string& staging_dir, cluster::NodeId
   hdfs_.write_file(staging_dir + "/job.xml", config_.job_conf_size, writer, one_done);
 }
 
-std::shared_ptr<AmBase> JobClient::submit(const JobSpec& spec, ExecutionMode mode,
-                                          AmBase::CompletionCallback on_complete) {
+AmBase& JobClient::submit(const JobSpec& spec, ExecutionMode mode,
+                          AmBase::CompletionCallback on_complete) {
   assert(spec.logic != nullptr);
   const int seq = next_job_seq_++;
-  JobSpec adjusted = spec;
+  Submission* sub = &submissions_.emplace_back(
+      Submission{.spec = spec, .mode = mode, .submit_time = sim_.now(),
+                 .on_complete = std::move(on_complete)});
   // Unique output/staging paths so concurrent attempts (speculative
   // execution) never collide in HDFS.
-  adjusted.output_path += "." + std::string(mode_name(mode)) + "." + std::to_string(seq);
+  sub->spec.output_path += "." + std::string(mode_name(mode)) + "." + std::to_string(seq);
   const std::string staging_dir =
-      "/tmp/staging/" + adjusted.name + "." + std::to_string(seq);
-
-  // The client observes completion at its next 1 s status poll, not
-  // the instant the AM unregisters.
-  const sim::SimTime submit_time = sim_.now();
-
-  // One submission may run several AM attempts (the RM re-executes the
-  // AM when its container dies with a node); the shared state tracks
-  // the current attempt so RM callbacks always reach the live AM.
-  struct Submission {
-    std::shared_ptr<AmBase> am;
-    int restarts = 0;                 // AM re-executions so far
-    std::size_t lost_containers = 0;  // accumulated over abandoned attempts
-    bool started = false;
-    bool reported = false;
-  };
-  auto sub = std::make_shared<Submission>();
-
-  auto shared_cb = std::make_shared<AmBase::CompletionCallback>(std::move(on_complete));
-  AmBase::CompletionCallback wrapped = [this, submit_time, sub,
-                                        shared_cb](const JobResult& result) {
-    if (sub->reported) return;  // only the final attempt reports
-    sub->reported = true;
-    JobResult adjusted_result = result;
-    adjusted_result.profile.am_restarts = sub->restarts;
-    adjusted_result.profile.lost_containers += sub->lost_containers;
-    const std::int64_t poll_us = config_.client_poll.as_micros();
-    const std::int64_t elapsed_us = (sim_.now() - submit_time).as_micros();
-    const std::int64_t aligned_us = ((elapsed_us + poll_us - 1) / poll_us) * poll_us;
-    const sim::SimTime seen = submit_time + sim::SimDuration::micros(aligned_us);
-    sim_.schedule_at(seen, [seen, shared_cb, adjusted_result]() mutable {
-      adjusted_result.profile.client_done_time = seen;
-      (*shared_cb)(adjusted_result);
-    }, "client:poll-complete");
-  };
-
-  auto am = make_app_master(adjusted, mode, wrapped);
-  am->set_submit_time(submit_time);
-  sub->am = am;
+      "/tmp/staging/" + sub->spec.name + "." + std::to_string(seq);
+  sub->am = &new_attempt(*sub, sub->spec);
 
   // Step 1: job-id RPC; step 2: upload jar + conf; step 3: submit.
-  const cluster::NodeId client_node = cluster_.master();
-  sim_.schedule_after(rm_.config().rpc_latency, [this, sub, adjusted, mode, wrapped, submit_time,
-                                                 staging_dir, client_node] {
+  sim_.schedule_after(rm_.config().rpc_latency, [this, sub, staging_dir] {
     if (sub->am->was_killed()) return;  // killed during the submission RPC
-    upload_job_files(staging_dir, client_node, [this, sub, adjusted, mode, wrapped, submit_time] {
+    upload_job_files(staging_dir, cluster_.master(), [this, sub] {
       if (sub->am->was_killed()) return;
       const yarn::AppId app = rm_.submit_application(
           sub->am->spec().name,
-          [this, sub, adjusted, mode, wrapped, submit_time](const yarn::Container& container) {
-            if (!sub->started) {
-              sub->started = true;
-              if (!sub->am->was_killed()) sub->am->start(container);
-              return;
-            }
-            // AM re-execution: the previous attempt died with its
-            // container. Task state died with it, so a fresh AM reruns
-            // the whole job under the same application (new attempt
-            // output paths avoid HDFS collisions with the old one).
-            ++sub->restarts;
-            sub->lost_containers += sub->am->live_profile().lost_containers;
-            JobSpec retry = adjusted;
-            retry.output_path += "_am" + std::to_string(sub->restarts);
-            auto fresh = make_app_master(retry, mode, wrapped);
-            fresh->set_submit_time(submit_time);
-            fresh->set_app_id(sub->am->app_id());
-            sub->am = fresh;
-            fresh->start(container);
-          });
+          [this, sub](const yarn::Container& container) { on_am_container(*sub, container); });
       sub->am->set_app_id(app);
       rm_.set_am_lost_handler(app, [sub] { sub->am->abandon(); });
-      rm_.set_am_failure_handler(app, [sub, wrapped] {
+      rm_.set_am_failure_handler(app, [this, sub] {
         // AM attempt budget exhausted: the RM already unregistered the
         // app; report a clean failure to the client.
         JobResult result;
         result.succeeded = false;
         result.profile = sub->am->live_profile();
-        wrapped(result);
+        report(*sub, result);
       });
       // A kill that raced the submission would have missed the app id;
       // reconcile so the AM container is reclaimed.
       if (sub->am->was_killed()) rm_.finish_application(app);
     });
   }, "client:submit");
+  return *sub->am;
+}
+
+AmBase& JobClient::new_attempt(Submission& sub, const JobSpec& spec) {
+  AmBase& am = make_app_master(
+      spec, sub.mode, [this, sub = &sub](const JobResult& result) { report(*sub, result); });
+  am.set_submit_time(sub.submit_time);
   return am;
+}
+
+void JobClient::on_am_container(Submission& sub, const yarn::Container& container) {
+  if (!sub.started) {
+    sub.started = true;
+    if (!sub.am->was_killed()) sub.am->start(container);
+    return;
+  }
+  // AM re-execution: the previous attempt died with its container.
+  // Task state died with it, so a fresh AM reruns the whole job under
+  // the same application (new attempt output paths avoid HDFS
+  // collisions with the old one).
+  ++sub.restarts;
+  sub.lost_containers += sub.am->live_profile().lost_containers;
+  JobSpec retry = sub.spec;
+  retry.output_path += "_am" + std::to_string(sub.restarts);
+  AmBase& fresh = new_attempt(sub, retry);
+  fresh.set_app_id(sub.am->app_id());
+  sub.am = &fresh;
+  fresh.start(container);
+}
+
+void JobClient::report(Submission& sub, const JobResult& result) {
+  if (sub.reported) return;  // only the final attempt reports
+  sub.reported = true;
+  JobResult adjusted_result = result;
+  adjusted_result.profile.am_restarts = sub.restarts;
+  adjusted_result.profile.lost_containers += sub.lost_containers;
+  // The client observes completion at its next 1 s status poll, not
+  // the instant the AM unregisters.
+  const std::int64_t poll_us = config_.client_poll.as_micros();
+  const std::int64_t elapsed_us = (sim_.now() - sub.submit_time).as_micros();
+  const std::int64_t aligned_us = ((elapsed_us + poll_us - 1) / poll_us) * poll_us;
+  const sim::SimTime seen = sub.submit_time + sim::SimDuration::micros(aligned_us);
+  sim_.schedule_at(seen, [seen, sub = &sub, adjusted_result]() mutable {
+    adjusted_result.profile.client_done_time = seen;
+    sub->on_complete(adjusted_result);
+  }, "client:poll-complete");
 }
 
 }  // namespace mrapid::mr

@@ -12,6 +12,7 @@
 // 3-5 with an RPC to an AM reserved in the pool; everything else is
 // shared.
 
+#include <deque>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -25,30 +26,53 @@ class JobClient {
   JobClient(cluster::Cluster& cluster, hdfs::Hdfs& hdfs, yarn::ResourceManager& rm,
             MRConfig config);
 
-  // Submits `spec` in the given mode. Returns the AM handle (already
-  // registered; the job starts asynchronously in simulated time). The
-  // handle stays valid until the client is destroyed.
-  std::shared_ptr<AmBase> submit(const JobSpec& spec, ExecutionMode mode,
-                                 AmBase::CompletionCallback on_complete);
+  // Submits `spec` in the given mode. Returns the first AM attempt
+  // (already registered; the job starts asynchronously in simulated
+  // time). The reference stays valid until the client is destroyed.
+  AmBase& submit(const JobSpec& spec, ExecutionMode mode, AmBase::CompletionCallback on_complete);
 
   const MRConfig& config() const { return config_; }
 
   // Builds the right AM flavour for `mode` (also used by the MRapid
-  // submission framework, which launches AMs through its pool).
-  std::shared_ptr<AmBase> make_app_master(const JobSpec& spec, ExecutionMode mode,
-                                          AmBase::CompletionCallback on_complete);
+  // submission framework, which launches AMs through its pool). The
+  // reference stays valid until the client is destroyed.
+  AmBase& make_app_master(const JobSpec& spec, ExecutionMode mode,
+                          AmBase::CompletionCallback on_complete);
 
   // Stages jar + conf into HDFS and calls `staged` when durable (step 2).
   void upload_job_files(const std::string& staging_dir, cluster::NodeId writer,
                         std::function<void()> staged);
 
  private:
+  // One submission may run several AM attempts (the RM re-executes the
+  // AM when its container dies with a node); `am` is the current
+  // attempt, so RM callbacks always reach the live AM.
+  struct Submission {
+    JobSpec spec;  // with this submission's unique output path
+    ExecutionMode mode = ExecutionMode::kHadoopDistributed;
+    sim::SimTime submit_time;
+    AmBase::CompletionCallback on_complete;
+    AmBase* am = nullptr;
+    int restarts = 0;                 // AM re-executions so far
+    std::size_t lost_containers = 0;  // accumulated over abandoned attempts
+    bool started = false;
+    bool reported = false;
+  };
+
+  AmBase& new_attempt(Submission& sub, const JobSpec& spec);
+  void on_am_container(Submission& sub, const yarn::Container& container);
+  void report(Submission& sub, const JobResult& result);
+
   cluster::Cluster& cluster_;
   hdfs::Hdfs& hdfs_;
   yarn::ResourceManager& rm_;
   sim::Simulation& sim_;
   MRConfig config_;
-  std::vector<std::shared_ptr<AmBase>> retained_;  // keep AMs alive for callbacks
+  // Every AM built here, killed and abandoned attempts included, since
+  // events and RM handlers point at them. After config_, which they
+  // reference, so they are destroyed first.
+  std::vector<std::unique_ptr<AmBase>> ams_;
+  std::deque<Submission> submissions_;  // deque: closures hold element addresses
   int next_job_seq_ = 1;
 };
 

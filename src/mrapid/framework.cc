@@ -25,20 +25,6 @@ EstimatorDefaults estimator_defaults_for(const cluster::Cluster& cluster,
   return defaults;
 }
 
-struct MRapidFramework::SpeculativeRace {
-  JobSpec spec;
-  sim::SimTime submit_time;
-  CompletionCallback on_complete;
-  DecisionContext context;
-  std::shared_ptr<mr::AmBase> d_am;
-  std::shared_ptr<mr::AmBase> u_am;
-  AmPool::Slot d_slot;
-  AmPool::Slot u_slot;
-  bool decided = false;
-  bool finished = false;
-  sim::EventId poll_event{};
-};
-
 MRapidFramework::MRapidFramework(cluster::Cluster& cluster, hdfs::Hdfs& hdfs,
                                  yarn::ResourceManager& rm, mr::JobClient& client,
                                  FrameworkOptions options)
@@ -151,33 +137,25 @@ void MRapidFramework::run_on_slot(const JobSpec& spec, ExecutionMode mode,
   adjusted.output_path += "." + std::string(mr::mode_name(mode)) + "." +
                           std::to_string(sim_.now().as_micros());
 
-  // Everything a slot loss needs to resubmit the job lives in the
-  // ActiveJob record; exactly one of the completion callback and the
-  // loss path consumes it (each erases the record first).
-  auto job = std::make_shared<ActiveJob>();
-  job->spec = spec;
-  job->mode = mode;
-  job->submit_time = submit_time;
-  job->on_complete = std::move(on_complete);
-  job->resubmits = resubmits;
-  job->record_winner = record_winner;
-
-  auto am = client_.make_app_master(
-      adjusted, mode, [this, job, slot](const JobResult& result) {
+  mr::AmBase& am = client_.make_app_master(
+      adjusted, mode, [this, slot](const JobResult& result) {
+        ActiveJob job = std::move(active_jobs_.at(slot.index));
         active_jobs_.erase(slot.index);
-        if (job->am) {
-          history_.record_run(job->am->spec().logic->signature(),
-                              measure(*job->am, sim_.now()), job->record_winner);
-        }
+        history_.record_run(job.am->spec().logic->signature(), measure(*job.am, sim_.now()),
+                            job.record_winner);
         JobResult adjusted_result = result;
-        adjusted_result.profile.am_restarts += job->resubmits;
+        adjusted_result.profile.am_restarts += job.resubmits;
         pool_.release(slot.index);
         pump_queue();
-        notify_client(job->submit_time, std::move(job->on_complete),
-                      std::move(adjusted_result));
+        notify_client(job.submit_time, std::move(job.on_complete), std::move(adjusted_result));
       });
-  job->am = am;
-  active_jobs_[slot.index] = job;
+  // Everything a slot loss needs to resubmit the job lives in the
+  // ActiveJob record; exactly one of the completion callback and the
+  // loss path consumes it (each moves it out of active_jobs_ first).
+  active_jobs_[slot.index] =
+      ActiveJob{.spec = spec, .mode = mode, .submit_time = submit_time,
+                .on_complete = std::move(on_complete), .am = &am, .resubmits = resubmits,
+                .record_winner = record_winner};
   // Seed the scheduler's shadow schedules with this app's expected
   // per-container runtime (launch + historical map compute, scaled to
   // the job at hand) — backfilling is only as good as these hints.
@@ -189,13 +167,13 @@ void MRapidFramework::run_on_slot(const JobSpec& spec, ExecutionMode mode,
     if (context.s_i_now > 0.0 && s_i > 0.0) t_m *= context.s_i_now / s_i;
     rm_.scheduler().set_app_runtime_hint(slot.app, options_.estimator.t_l + t_m);
   }
-  am->set_managed_by_pool(true);
-  am->set_app_id(slot.app);
-  am->set_submit_time(submit_time);
+  am.set_managed_by_pool(true);
+  am.set_app_id(slot.app);
+  am.set_submit_time(submit_time);
   // AMSlave handoff: the proxy RPCs the job description to the warm AM.
   // The slot can die during the handoff — an abandoned AM never starts.
   sim_.schedule_after(options_.proxy_rpc + options_.am_job_init,
-                      [am, container = slot.container] {
+                      [am = &am, container = slot.container] {
                         if (!am->was_killed()) am->start(container);
                       },
                       "mrapid:am-handoff");
@@ -204,29 +182,29 @@ void MRapidFramework::run_on_slot(const JobSpec& spec, ExecutionMode mode,
 void MRapidFramework::on_slot_lost(int index) {
   auto it = active_jobs_.find(index);
   if (it == active_jobs_.end()) return;  // idle slot, or a speculative race (see docs/FAULTS.md)
-  auto job = it->second;
+  ActiveJob job = std::move(it->second);
   active_jobs_.erase(it);
-  job->am->abandon();
-  if (job->resubmits >= options_.max_job_resubmits) {
-    LOG_WARN("mrapid", "job %s lost its slot %d times; failing", job->spec.name.c_str(),
-             job->resubmits + 1);
+  job.am->abandon();
+  if (job.resubmits >= options_.max_job_resubmits) {
+    LOG_WARN("mrapid", "job %s lost its slot %d times; failing", job.spec.name.c_str(),
+             job.resubmits + 1);
     JobResult result;
     result.succeeded = false;
-    result.profile = job->am->live_profile();
-    result.profile.am_restarts = job->resubmits;
-    notify_client(job->submit_time, std::move(job->on_complete), std::move(result));
+    result.profile = job.am->live_profile();
+    result.profile.am_restarts = job.resubmits;
+    notify_client(job.submit_time, std::move(job.on_complete), std::move(result));
     return;
   }
-  const int next = job->resubmits + 1;
+  const int next = job.resubmits + 1;
   MRAPID_TRACE(sim_, sim::TraceCategory::kFault, "pool.resubmit",
-               {"slot", index}, {"app", job->am->app_id()}, {"attempt", next});
+               {"slot", index}, {"app", job.am->app_id()}, {"attempt", next});
   LOG_WARN("mrapid", "slot %d lost; resubmitting %s (attempt %d)", index,
-           job->spec.name.c_str(), next + 1);
-  waiting_jobs_.push_back({1, [this, job, next]() mutable {
+           job.spec.name.c_str(), next + 1);
+  waiting_jobs_.push_back({1, [this, job = std::move(job), next]() mutable {
     auto slot = pool_.acquire();
     assert(slot.has_value());
-    run_on_slot(job->spec, job->mode, *slot, job->submit_time, std::move(job->on_complete),
-                job->record_winner, next);
+    run_on_slot(job.spec, job.mode, *slot, job.submit_time, std::move(job.on_complete),
+                job.record_winner, next);
   }});
   pump_queue();
 }
@@ -234,7 +212,7 @@ void MRapidFramework::on_slot_lost(int index) {
 std::vector<yarn::Container> MRapidFramework::active_am_containers() const {
   std::vector<yarn::Container> out;
   for (const auto& [index, job] : active_jobs_) {
-    if (job->am && !job->am->finished() && !job->am->was_killed()) {
+    if (!job.am->finished() && !job.am->was_killed()) {
       out.push_back(pool_.slot(index).container);
     }
   }
@@ -330,12 +308,6 @@ void MRapidFramework::submit(const JobSpec& spec, CompletionCallback on_complete
 
 void MRapidFramework::run_speculative(const JobSpec& spec, sim::SimTime submit_time,
                                       CompletionCallback on_complete) {
-  auto race = std::make_shared<SpeculativeRace>();
-  race->spec = spec;
-  race->submit_time = submit_time;
-  race->on_complete = std::move(on_complete);
-  race->context = make_context(spec);
-
   auto d_slot = pool_.acquire();
   auto u_slot = pool_.acquire();
   if (!d_slot || !u_slot) {
@@ -343,36 +315,34 @@ void MRapidFramework::run_speculative(const JobSpec& spec, sim::SimTime submit_t
     if (d_slot) pool_.release(d_slot->index);
     if (u_slot) pool_.release(u_slot->index);
     waiting_jobs_.push_back({2, [this, spec, submit_time,
-                                 cb = std::move(race->on_complete)]() mutable {
+                                 cb = std::move(on_complete)]() mutable {
       run_speculative(spec, submit_time, std::move(cb));
     }});
     return;
   }
-  race->d_slot = *d_slot;
-  race->u_slot = *u_slot;
-  races_.push_back(race);
+  SpeculativeRace* race = &races_.emplace_back(
+      SpeculativeRace{.spec = spec, .submit_time = submit_time,
+                      .on_complete = std::move(on_complete), .context = make_context(spec),
+                      .d_slot = *d_slot, .u_slot = *u_slot});
   LOG_INFO("mrapid", "speculative launch of %s: D+ on slot %d, U+ on slot %d",
            spec.name.c_str(), race->d_slot.index, race->u_slot.index);
 
-  auto launch = [this, race](ExecutionMode mode, const AmPool::Slot& slot)
-      -> std::shared_ptr<mr::AmBase> {
-    JobSpec adjusted = spec_copy(race->spec, mode);
-    auto am = client_.make_app_master(
-        adjusted, mode, [this, race, mode](const JobResult& result) {
-          finish_race(race, mode, result);
-        });
-    am->set_managed_by_pool(true);
-    am->set_app_id(slot.app);
-    am->set_submit_time(race->submit_time);
+  auto launch = [this, race](ExecutionMode mode, const AmPool::Slot& slot) {
+    mr::AmBase& am = client_.make_app_master(
+        spec_copy(race->spec, mode), mode,
+        [this, race, mode](const JobResult& result) { finish_race(*race, mode, result); });
+    am.set_managed_by_pool(true);
+    am.set_app_id(slot.app);
+    am.set_submit_time(race->submit_time);
     sim_.schedule_after(options_.proxy_rpc,
-                        [am, container = slot.container] { am->start(container); },
+                        [am = &am, container = slot.container] { am->start(container); },
                         "mrapid:am-handoff");
-    return am;
+    return &am;
   };
   race->d_am = launch(ExecutionMode::kDPlus, race->d_slot);
   race->u_am = launch(ExecutionMode::kUPlus, race->u_slot);
   race->poll_event = sim_.schedule_after(options_.decision_poll,
-                                         [this, race] { poll_race(race); }, "mrapid:poll");
+                                         [this, race] { poll_race(*race); }, "mrapid:poll");
 }
 
 JobSpec MRapidFramework::spec_copy(const JobSpec& spec, ExecutionMode mode) {
@@ -382,58 +352,58 @@ JobSpec MRapidFramework::spec_copy(const JobSpec& spec, ExecutionMode mode) {
   return adjusted;
 }
 
-void MRapidFramework::poll_race(std::shared_ptr<SpeculativeRace> race) {
-  race->poll_event = sim::EventId{};
-  if (race->finished || race->decided) return;
+void MRapidFramework::poll_race(SpeculativeRace& race) {
+  race.poll_event = sim::EventId{};
+  if (race.finished || race.decided) return;
   // Step 4/5: profile both attempts, judge when confident.
-  const ModeMeasurement d = measure(*race->d_am, sim_.now());
-  const ModeMeasurement u = measure(*race->u_am, sim_.now());
-  const auto decision = decision_maker_.judge_live(d, u, race->context);
+  const ModeMeasurement d = measure(*race.d_am, sim_.now());
+  const ModeMeasurement u = measure(*race.u_am, sim_.now());
+  const auto decision = decision_maker_.judge_live(d, u, race.context);
   if (decision.has_value()) {
-    race->decided = true;
+    race.decided = true;
     const bool keep_d = decision->winner == ExecutionMode::kDPlus;
-    auto& loser_am = keep_d ? race->u_am : race->d_am;
-    const auto& loser_slot = keep_d ? race->u_slot : race->d_slot;
+    mr::AmBase& loser_am = keep_d ? *race.u_am : *race.d_am;
+    const auto& loser_slot = keep_d ? race.u_slot : race.d_slot;
     LOG_INFO("mrapid", "decision: %s wins (t_u=%.1fs t_d=%.1fs); killing %s",
              mr::mode_name(decision->winner), decision->t_u, decision->t_d,
-             mr::mode_name(loser_am->mode()));
+             mr::mode_name(loser_am.mode()));
     // Record the loser's measurements before it dies — profile data is
     // valid either way.
-    history_.record_run(race->spec.logic->signature(),
-                        measure(*loser_am, sim_.now()), false);
-    loser_am->kill();
+    history_.record_run(race.spec.logic->signature(), measure(loser_am, sim_.now()), false);
+    loser_am.kill();
     pool_.release(loser_slot.index);
     pump_queue();
     return;
   }
-  race->poll_event = sim_.schedule_after(options_.decision_poll,
-                                         [this, race] { poll_race(race); }, "mrapid:poll");
+  race.poll_event = sim_.schedule_after(options_.decision_poll,
+                                        [this, race = &race] { poll_race(*race); },
+                                        "mrapid:poll");
 }
 
-void MRapidFramework::finish_race(std::shared_ptr<SpeculativeRace> race, ExecutionMode winner,
+void MRapidFramework::finish_race(SpeculativeRace& race, ExecutionMode winner,
                                   const JobResult& result) {
-  if (race->finished) return;
-  race->finished = true;
-  if (race->poll_event.valid()) sim_.cancel(race->poll_event);
+  if (race.finished) return;
+  race.finished = true;
+  if (race.poll_event.valid()) sim_.cancel(race.poll_event);
 
   const bool d_won = winner == ExecutionMode::kDPlus;
-  auto& winner_am = d_won ? race->d_am : race->u_am;
-  auto& loser_am = d_won ? race->u_am : race->d_am;
-  const auto& winner_slot = d_won ? race->d_slot : race->u_slot;
-  const auto& loser_slot = d_won ? race->u_slot : race->d_slot;
+  mr::AmBase& winner_am = d_won ? *race.d_am : *race.u_am;
+  mr::AmBase& loser_am = d_won ? *race.u_am : *race.d_am;
+  const auto& winner_slot = d_won ? race.d_slot : race.u_slot;
+  const auto& loser_slot = d_won ? race.u_slot : race.d_slot;
 
-  history_.record_run(race->spec.logic->signature(), measure(*winner_am, sim_.now()), true);
-  if (!race->decided) {
+  history_.record_run(race.spec.logic->signature(), measure(winner_am, sim_.now()), true);
+  if (!race.decided) {
     // The race ran to the finish line: kill the straggler now.
-    history_.record_run(race->spec.logic->signature(), measure(*loser_am, sim_.now()), false);
-    loser_am->kill();
+    history_.record_run(race.spec.logic->signature(), measure(loser_am, sim_.now()), false);
+    loser_am.kill();
     pool_.release(loser_slot.index);
   }
   pool_.release(winner_slot.index);
   pump_queue();
-  LOG_INFO("mrapid", "speculative %s finished; winner %s in %.2fs", race->spec.name.c_str(),
+  LOG_INFO("mrapid", "speculative %s finished; winner %s in %.2fs", race.spec.name.c_str(),
            mr::mode_name(winner), result.profile.elapsed_seconds());
-  notify_client(race->submit_time, std::move(race->on_complete), result);
+  notify_client(race.submit_time, std::move(race.on_complete), result);
 }
 
 }  // namespace mrapid::core

@@ -16,7 +16,6 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <unordered_map>
 
 #include "mapreduce/job_client.h"
@@ -82,18 +81,31 @@ class MRapidFramework {
   std::vector<yarn::Container> active_am_containers() const;
 
  private:
-  struct SpeculativeRace;
-
-  // One job currently running on a pool slot, retained so a slot loss
-  // can abandon the attempt and resubmit the job through the queue.
+  // One job currently running on a pool slot, kept so a slot loss can
+  // abandon the attempt and resubmit the job through the queue.
   struct ActiveJob {
     mr::JobSpec spec;  // original spec (output path re-derived per attempt)
     mr::ExecutionMode mode = mr::ExecutionMode::kDPlus;
     sim::SimTime submit_time;
     CompletionCallback on_complete;
-    std::shared_ptr<mr::AmBase> am;
+    mr::AmBase* am = nullptr;  // owned by the JobClient
     int resubmits = 0;
     bool record_winner = true;
+  };
+
+  // One job running in D+ and U+ at once until a winner is picked.
+  struct SpeculativeRace {
+    mr::JobSpec spec;
+    sim::SimTime submit_time;
+    CompletionCallback on_complete;
+    DecisionContext context;
+    mr::AmBase* d_am = nullptr;  // both owned by the JobClient
+    mr::AmBase* u_am = nullptr;
+    AmPool::Slot d_slot;
+    AmPool::Slot u_slot;
+    bool decided = false;
+    bool finished = false;
+    sim::EventId poll_event{};
   };
 
   void run_on_slot(const mr::JobSpec& spec, mr::ExecutionMode mode, const AmPool::Slot& slot,
@@ -103,9 +115,8 @@ class MRapidFramework {
   mr::JobSpec spec_copy(const mr::JobSpec& spec, mr::ExecutionMode mode);
   void run_speculative(const mr::JobSpec& spec, sim::SimTime submit_time,
                        CompletionCallback on_complete);
-  void poll_race(std::shared_ptr<SpeculativeRace> race);
-  void finish_race(std::shared_ptr<SpeculativeRace> race, mr::ExecutionMode winner,
-                   const mr::JobResult& result);
+  void poll_race(SpeculativeRace& race);
+  void finish_race(SpeculativeRace& race, mr::ExecutionMode winner, const mr::JobResult& result);
   void notify_client(sim::SimTime submit_time, CompletionCallback cb, mr::JobResult result);
   void pump_queue();
 
@@ -123,8 +134,10 @@ class MRapidFramework {
     std::function<void()> run;
   };
   std::deque<WaitingJob> waiting_jobs_;  // pool exhausted
-  std::vector<std::shared_ptr<SpeculativeRace>> races_;  // keep alive
-  std::unordered_map<int, std::shared_ptr<ActiveJob>> active_jobs_;  // by slot index
+  // Every race this framework started; a deque, because the AM
+  // callbacks and poll events of a race hold its address.
+  std::deque<SpeculativeRace> races_;
+  std::unordered_map<int, ActiveJob> active_jobs_;  // by slot index
 };
 
 }  // namespace mrapid::core

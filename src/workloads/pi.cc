@@ -59,20 +59,29 @@ mr::MapOutcome Pi::execute_map(const mr::InputSplit& split) const {
   // range so distinct maps sample distinct Halton prefixes. The inside
   // count depends on nothing else, so shapes sharing a range share it.
   const std::int64_t evaluated = std::min(samples, params_.fidelity_cap);
-  const OutcomeKey key{OutcomeKind::kPiHaltonRange,
-                       {static_cast<std::uint64_t>(begin), static_cast<std::uint64_t>(evaluated)}};
-  const std::int64_t inside = *std::static_pointer_cast<const std::int64_t>(
-      OutcomeCache::shared().get_or_compute(key, [&] {
-        std::int64_t count = 0;
-        for (std::int64_t i = 0; i < evaluated; ++i) {
-          const auto [x, y] = halton_point(begin + i);
-          const double dx = x - 0.5;
-          const double dy = y - 0.5;
-          if (dx * dx + dy * dy <= 0.25) ++count;
-        }
-        return OutcomeCache::Value{std::make_shared<const std::int64_t>(count),
-                                   sizeof(std::int64_t)};
-      }));
+  const auto count_inside = [begin, evaluated] {
+    std::int64_t count = 0;
+    for (std::int64_t i = 0; i < evaluated; ++i) {
+      const auto [x, y] = halton_point(begin + i);
+      const double dx = x - 0.5;
+      const double dy = y - 0.5;
+      if (dx * dx + dy * dy <= 0.25) ++count;
+    }
+    return count;
+  };
+  std::int64_t inside = 0;
+  if (evaluated < kMinCachedPoints) {
+    inside = count_inside();
+  } else {
+    const OutcomeKey key{
+        OutcomeKind::kPiHaltonRange,
+        {static_cast<std::uint64_t>(begin), static_cast<std::uint64_t>(evaluated)}};
+    inside = *std::static_pointer_cast<const std::int64_t>(
+        OutcomeCache::shared().get_or_compute(key, [&] {
+          return OutcomeCache::Value{std::make_shared<const std::int64_t>(count_inside()),
+                                     sizeof(std::int64_t)};
+        }));
+  }
   auto result = std::make_shared<PiResult>();
   // Scale to the full per-map count (exact when samples <= cap).
   result->total = samples;

@@ -58,6 +58,13 @@ class Pi : public Workload {
   // tests.
   static std::pair<double, double> halton_point(std::int64_t index);
 
+  // Maps evaluating fewer Halton points than this count them on every
+  // call instead of caching the count: at about 60 ns a point such a
+  // range takes under 60 us, too little to be worth a cache entry
+  // that holds ~250 bytes for the life of the process. Wide jobs run
+  // thousands of such maps.
+  static constexpr std::int64_t kMinCachedPoints = 1024;
+
  private:
   PiParams params_;
 };

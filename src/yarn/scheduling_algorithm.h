@@ -1,6 +1,6 @@
 #pragma once
 
-// The batsched-style split of the scheduling stack (ROADMAP item 1):
+// The batsched-style split of the scheduling stack:
 //
 //   * PolicyScheduler is the event adapter behind the yarn::Scheduler
 //     seam. It owns everything stateful a policy needs but should not

@@ -75,12 +75,12 @@ TEST(FrameworkEdge, KillBeforeStartIsClean) {
   world.boot();
   mr::JobSpec spec = wc.make_spec(world.hdfs());
   bool completed = false;
-  auto am = world.client().submit(spec, mr::ExecutionMode::kHadoopDistributed,
-                                  [&](const mr::JobResult&) { completed = true; });
-  am->kill();  // before the AM container even exists
+  mr::AmBase& am = world.client().submit(spec, mr::ExecutionMode::kHadoopDistributed,
+                                         [&](const mr::JobResult&) { completed = true; });
+  am.kill();  // before the AM container even exists
   world.simulation().run_until(world.simulation().now() + sim::SimDuration::seconds(60));
   EXPECT_FALSE(completed);
-  EXPECT_TRUE(am->was_killed());
+  EXPECT_TRUE(am.was_killed());
   // Cluster must drain back to fully free.
   world.simulation().run_until(world.simulation().now() + sim::SimDuration::seconds(3));
   for (const auto& state : world.rm().nodes()) EXPECT_EQ(state.used.vcores, 0);
@@ -93,11 +93,11 @@ TEST(FrameworkEdge, KillMidMapsReleasesEverything) {
   world.boot();
   mr::JobSpec spec = wc.make_spec(world.hdfs());
   bool completed = false;
-  auto am = world.client().submit(spec, mr::ExecutionMode::kHadoopDistributed,
-                                  [&](const mr::JobResult&) { completed = true; });
+  mr::AmBase& am = world.client().submit(spec, mr::ExecutionMode::kHadoopDistributed,
+                                         [&](const mr::JobResult&) { completed = true; });
   // Let it get well into the map phase, then kill.
   world.simulation().run_until(world.simulation().now() + sim::SimDuration::seconds(8));
-  am->kill();
+  am.kill();
   world.simulation().run_until(world.simulation().now() + sim::SimDuration::seconds(10));
   EXPECT_FALSE(completed);
   std::int64_t used = 0;
@@ -110,13 +110,13 @@ TEST(FrameworkEdge, DoubleKillIsIdempotent) {
   WorldConfig config;
   World world(config, RunMode::kHadoop);
   world.boot();
-  auto am = world.client().submit(wc.make_spec(world.hdfs()),
-                                  mr::ExecutionMode::kHadoopDistributed,
-                                  [](const mr::JobResult&) {});
+  mr::AmBase& am = world.client().submit(wc.make_spec(world.hdfs()),
+                                         mr::ExecutionMode::kHadoopDistributed,
+                                         [](const mr::JobResult&) {});
   world.simulation().run_until(world.simulation().now() + sim::SimDuration::seconds(5));
-  am->kill();
-  am->kill();
-  EXPECT_TRUE(am->was_killed());
+  am.kill();
+  am.kill();
+  EXPECT_TRUE(am.was_killed());
 }
 
 TEST(FrameworkEdge, KillAfterCompletionDoesNothing) {

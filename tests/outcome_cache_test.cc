@@ -317,13 +317,16 @@ TEST(OutcomeCacheWorkloads, PiCountsMatchADirectHaltonLoop) {
     int num_maps;
     std::int64_t fidelity_cap;
   };
-  // Cap hit (and a shorter last map), cap not hit, shorter last map.
-  for (const Shape shape : {Shape{10001, 3, 1000}, Shape{2000, 4, 1000}, Shape{1001, 4, 1000}}) {
+  // Each of cap hit (with a shorter last map), cap not hit and shorter
+  // last map, at ranges above and below Pi::kMinCachedPoints.
+  for (const Shape shape : {Shape{30001, 3, 5000}, Shape{6000, 4, 5000}, Shape{6001, 4, 5000},
+                            Shape{10001, 3, 1000}, Shape{2000, 4, 1000}, Shape{1001, 4, 1000}}) {
     PiParams params;
     params.total_samples = shape.total_samples;
     params.num_maps = shape.num_maps;
     params.fidelity_cap = shape.fidelity_cap;
-    // The first instance misses, the second hits.
+    // Above the cut-off the first instance misses and the second hits;
+    // below it both count the points themselves.
     const Pi a(params), b(params);
     for (std::int64_t m = 0; m < shape.num_maps; ++m) {
       const PiResult expected = direct_halton(params, m);
@@ -341,6 +344,7 @@ TEST(OutcomeCacheWorkloads, PiCountsMatchADirectHaltonLoop) {
 
 TEST(OutcomeCacheWorkloads, PiShapesSharingARangeComputeItOnce) {
   // 3 and 4 maps of 7919 samples: map 1 of each covers [7919, 15838).
+  static_assert(5000 >= Pi::kMinCachedPoints, "every range below must be cacheable");
   PiParams three;
   three.total_samples = 3 * 7919;
   three.num_maps = 3;
@@ -361,6 +365,20 @@ TEST(OutcomeCacheWorkloads, PiShapesSharingARangeComputeItOnce) {
   capped.fidelity_cap = 5000;
   Pi(capped).execute_map(pi_split(1));
   EXPECT_EQ(cache.size(), before + 2);
+}
+
+TEST(OutcomeCacheWorkloads, PiRangesBelowTheCutOffAreNotCached) {
+  PiParams params;
+  params.num_maps = 2;
+  params.total_samples = 2 * (Pi::kMinCachedPoints - 1) + 12345;  // distinct from other tests
+  params.fidelity_cap = Pi::kMinCachedPoints - 1;
+  OutcomeCache& cache = OutcomeCache::shared();
+  const std::size_t before = cache.size();
+  Pi(params).execute_map(pi_split(1));
+  EXPECT_EQ(cache.size(), before);
+  params.fidelity_cap = Pi::kMinCachedPoints;
+  Pi(params).execute_map(pi_split(1));
+  EXPECT_EQ(cache.size(), before + 1);
 }
 
 TEST(OutcomeCacheWorkloads, TeraSortRunsAndBoundariesAreShared) {
